@@ -1,20 +1,10 @@
-"""Wall-clock speedup of the simulator fast paths on the Figure 10 mixes.
+"""Wall-clock speedup of the event-driven simulator on the Figure 10 mixes.
 
 Runs the Figure 10 workload mixes (the multi-programmed 8-core mixes the
-mitigation evaluation simulates) through the cycle-level simulator three
-ways:
-
-* once with the cycle-by-cycle reference (``step_mode="cycle"``), the
-  oracle everything else is pinned to;
-* once per simulation with the event-driven fast path
-  (``step_mode="event"``), the pure-Python production path;
-* once as a single sim-major :class:`repro.sim.batch.SimulationBatch`
-  stepping *all* (scenario, mix) cells in lockstep through the vectorized
-  :class:`repro.sim.kernel.BatchKernel` -- the Figure 10 study's batch
-  shape (every mechanism over the same mixes).
-
-All three produce bit-identical per-simulation statistics (asserted here,
-against the cycle oracle), and the measured speedups are recorded into
+mitigation evaluation simulates) through the cycle-level simulator twice per
+scenario -- once with the cycle-by-cycle reference (``step_mode="cycle"``)
+and once with the event-driven fast path (``step_mode="event"``) -- asserts
+the results are bit-identical, and records the measured speedups into
 ``BENCH_sim.json`` at the repository root.
 
 Scenarios cover the whole Figure 10 mechanism set, each at an ``HC_first``
@@ -25,18 +15,6 @@ every scenario the event-mode run also records its
 :class:`repro.sim.events.EventQueue` traffic (wake entries scheduled,
 rescheduled, cancelled, popped, and the maximum queue depth), so the cost
 of the event core itself stays visible alongside the speedup it buys.
-
-On the batch floor
-------------------
-ISSUE 10 asked for a >= 9.0x total-speedup floor.  The spike
-(``docs/kernel_spike.md``) honestly disproves that number for a
-bit-identical kernel: ~62% of batch wall-clock is per-event scalar work
-(FR-FCFS issue tails, queue pops, core ticks against Python request
-objects and scalar mitigation hooks) that batching cannot amortize, so
-the speedup asymptote over the cycle oracle is ~6.5x at unbounded batch
-width and ~5.3x at the CI-feasible S=64 measured here.  The batch floor
-below is therefore set from measurement with CI-noise margin, not from
-the issue's aspiration; the disproof math lives in the spike note.
 """
 
 import dataclasses
@@ -50,9 +28,7 @@ from conftest import print_banner
 from repro.analysis.mitigation_study import DEFAULT_MECHANISMS
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import build_mechanism
-from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
-from repro.sim.kernel import kernel_enabled
 from repro.sim.system import Simulation
 from repro.sim.workloads import make_workload_mixes
 
@@ -89,12 +65,6 @@ SEED = 0
 #: to jump -- so the floor tracks the 8-mix measurement (~4.4x on a quiet
 #: box) with CI-noise headroom.)
 TARGET_SPEEDUP = 4.2
-#: Acceptance floor for the sim-major kernel batch running every
-#: (scenario, mix) cell at once: total cycle-oracle wall-clock over the
-#: batch's wall-clock.  Measured ~5.3x at S=64 on a quiet box; the floor
-#: leaves CI-noise margin.  See the module docstring for why this is not
-#: the 9.0x the issue hoped for.
-BATCH_TARGET_SPEEDUP = 4.6
 #: Acceptance floor for the single-core alone-IPC scenario, where the cycle
 #: reference only ticks one core per DRAM cycle and the controller cost is
 #: common to both modes (typical quiet-box measurement: ~2x).
@@ -186,44 +156,16 @@ def test_event_mode_speedup(benchmark):
         queue_stats[ALONE_LABEL] = events
         return elapsed, fingerprints, queue_stats
 
-    def run_batch():
-        """All (scenario, mix) cells as one sim-major kernel batch."""
-        keys = []
-        trace_sets = []
-        mitigations = []
-        for mechanism, hcfirst in SCENARIOS:
-            label = mechanism or "baseline"
-            for mix_index, traces in enumerate(traces_per_mix):
-                keys.append((label, mix_index))
-                trace_sets.append(traces)
-                mitigations.append(
-                    build_mitigation(config, mechanism, hcfirst, mix_index)
-                )
-        batch = SimulationBatch(
-            config, trace_sets, mitigations=mitigations, backend="kernel"
-        )
-        started = time.perf_counter()
-        results = batch.run(DRAM_CYCLES)
-        elapsed = time.perf_counter() - started
-        fingerprints = {
-            key: result_fingerprint(result) for key, result in zip(keys, results)
-        }
-        return elapsed, fingerprints
-
     cycle_times, cycle_results, _ = run_all("cycle")
     (event_times, event_results, event_queue_stats) = benchmark.pedantic(
         lambda: run_all("event"), rounds=1, iterations=1
     )
 
     # Bit-identical results across all scenarios and mixes is the contract
-    # the speedups ride on: both fast paths against the cycle oracle.
+    # the speedup rides on.
     assert event_results == cycle_results
-    assert kernel_enabled(), "the batch bench needs numpy (REPRO_SIM_KERNEL unset)"
-    batch_elapsed, batch_results = run_batch()
-    labels = [mechanism or "baseline" for mechanism, _ in SCENARIOS]
-    mix_keys = [(label, mix) for label in labels for mix in range(NUM_MIXES)]
-    assert batch_results == {key: cycle_results[key] for key in mix_keys}
 
+    labels = [mechanism or "baseline" for mechanism, _ in SCENARIOS]
     scenarios = {}
     for label in labels + [ALONE_LABEL]:
         scenarios[label] = {
@@ -235,7 +177,6 @@ def test_event_mode_speedup(benchmark):
     total_cycle = sum(cycle_times[label] for label in labels)
     total_event = sum(event_times[label] for label in labels)
     speedup = total_cycle / total_event
-    batch_speedup = total_cycle / batch_elapsed
     alone_speedup = cycle_times[ALONE_LABEL] / event_times[ALONE_LABEL]
 
     # Every non-baseline scenario must be part of the Figure 10 mechanism
@@ -247,10 +188,8 @@ def test_event_mode_speedup(benchmark):
         "description": (
             "Wall-clock of the cycle-level simulator on the Figure 10 workload "
             "mixes: step_mode='cycle' reference vs the event-driven fast path "
-            "vs one sim-major kernel batch over every (scenario, mix) cell "
-            "(bit-identical results asserted against the cycle oracle), plus "
-            "single-core alone-IPC runs and the event queue's own traffic per "
-            "scenario"
+            "(bit-identical results asserted), plus single-core alone-IPC runs "
+            "and the event queue's own traffic per scenario"
         ),
         "config": {
             "num_mixes": NUM_MIXES,
@@ -261,28 +200,19 @@ def test_event_mode_speedup(benchmark):
             "seed": SEED,
             "mechanisms": labels,
             "alone_ipc_cores": len(alone_traces),
-            "batch_sims": len(mix_keys),
         },
         "python": platform.python_version(),
         "scenarios": scenarios,
         "total_cycle_s": round(total_cycle, 3),
         "total_event_s": round(total_event, 3),
-        "batch_kernel_s": round(batch_elapsed, 3),
         "speedup": round(speedup, 2),
-        "batch_speedup": round(batch_speedup, 2),
         "alone_ipc_speedup": round(alone_speedup, 2),
         "target_speedup": TARGET_SPEEDUP,
-        "batch_target_speedup": BATCH_TARGET_SPEEDUP,
         "alone_target_speedup": ALONE_TARGET_SPEEDUP,
-        "batch_floor_note": (
-            "ISSUE 10's 9.0x floor is disproved by measurement: ~62% of batch "
-            "wall-clock is per-event scalar work a bit-identical kernel cannot "
-            "vectorize (asymptote ~6.5x); see docs/kernel_spike.md"
-        ),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print_banner("Simulator fast-path speedups on the Figure 10 workload mixes")
+    print_banner("Event-driven simulator speedup on the Figure 10 workload mixes")
     for label, entry in scenarios.items():
         queue = entry["event_queue"]
         print(
@@ -296,18 +226,10 @@ def test_event_mode_speedup(benchmark):
         f"{'TOTAL (mixes)':18s} cycle {total_cycle:7.3f}s  event {total_event:7.3f}s  "
         f"{speedup:5.2f}x  (recorded in {RESULT_PATH.name})"
     )
-    print(
-        f"{'KERNEL BATCH':18s} cycle {total_cycle:7.3f}s  batch {batch_elapsed:7.3f}s  "
-        f"{batch_speedup:5.2f}x  (S={len(mix_keys)} simulations in lockstep)"
-    )
 
     assert speedup >= TARGET_SPEEDUP, (
         f"event-driven mode must be >= {TARGET_SPEEDUP}x faster on the Figure 10 "
         f"mixes, measured {speedup:.2f}x"
-    )
-    assert batch_speedup >= BATCH_TARGET_SPEEDUP, (
-        f"the sim-major kernel batch must be >= {BATCH_TARGET_SPEEDUP}x faster "
-        f"than the cycle oracle on the Figure 10 grid, measured {batch_speedup:.2f}x"
     )
     assert alone_speedup >= ALONE_TARGET_SPEEDUP, (
         f"event-driven mode must be >= {ALONE_TARGET_SPEEDUP}x faster on "

@@ -12,11 +12,9 @@ paper's error bars.  Mechanisms are only evaluated at the ``HC_first``
 values where their published designs apply (Section 6.1): ProHIT and MRLoc
 at 2000 only, increased refresh rate and non-ideal TWiCe at 32k and above.
 
-In the default event step mode the sweep's independent simulations run as
-sim-major :class:`~repro.sim.batch.SimulationBatch` groups through the
-vectorized kernel (see :mod:`repro.sim.kernel`); the batch path is pinned
-bit-identical to the per-simulation loops, so results and cached digests
-are unaffected by the routing.
+Every simulation runs through :class:`~repro.sim.system.Simulation` in the
+config's step mode.  A baseline unit's alone-IPC group (one single-core run
+per core of the mix) is one :class:`~repro.sim.batch.SimulationBatch` call.
 
 Sharded execution
 -----------------
@@ -322,25 +320,14 @@ def _run_mitigation_unit(
         baseline = Simulation(
             system_config, traces, mitigation=None, step_mode=config.step_mode
         ).run(config.dram_cycles)
-        if config.step_mode == "event":
-            # The per-core alone runs are independent single-core sims of
-            # one config: batch them through the kernel (bit-identical to
-            # the per-simulation loop, so cached unit payloads are stable).
-            alone_ipcs = tuple(
-                result.core_ipcs[0]
-                for result in SimulationBatch(
-                    system_config, [[trace] for trace in traces]
-                ).run(config.dram_cycles)
-            )
-        else:
-            alone_ipcs = tuple(
-                Simulation(
-                    system_config, [trace], mitigation=None, step_mode=config.step_mode
-                )
-                .run(config.dram_cycles)
-                .core_ipcs[0]
-                for trace in traces
-            )
+        alone_ipcs = tuple(
+            result.core_ipcs[0]
+            for result in SimulationBatch(
+                system_config,
+                [[trace] for trace in traces],
+                step_mode=config.step_mode,
+            ).run(config.dram_cycles)
+        )
         return MitigationBaselineUnit(
             mix=mix_index, core_ipcs=tuple(baseline.core_ipcs), alone_ipcs=alone_ipcs
         )
@@ -500,14 +487,9 @@ def run_mitigation_study(
         refresh window into the simulated interval, which over-approximates
         the overhead of counter-based mechanisms on short runs.
     step_mode:
-        Simulation stepping strategy; the default event-driven mode and the
-        ``"cycle"`` reference produce bit-identical studies.  In event mode
-        the sweep's independent simulations are grouped into
-        :class:`~repro.sim.batch.SimulationBatch` runs (all baselines in one
-        batch, each grid point's mixes in one batch), stepping through the
-        vectorized kernel when :func:`repro.sim.kernel.kernel_enabled`
-        allows and through the per-simulation event loop otherwise --
-        either way the payload is unchanged.
+        Simulation stepping strategy passed to every
+        :class:`~repro.sim.system.Simulation`; the default event-driven mode
+        and the ``"cycle"`` reference produce bit-identical studies.
 
     Traces are generated once per mix and shared by every evaluation point
     (every ``Simulation`` copies the per-core record lists it needs, and the
@@ -530,39 +512,22 @@ def run_mitigation_study(
     ]
 
     # Baselines (no mitigation) and alone IPCs are shared across all points.
-    # In event mode the independent simulations of each group run as one
-    # SimulationBatch through the sim-major kernel (bit-identical to the
-    # per-simulation event loop, so the study payload -- and any cached
-    # digest of it -- is unchanged); the cycle oracle keeps the scalar loop.
-    use_batch = step_mode == "event"
-    if use_batch:
-        baselines = SimulationBatch(config, traces_per_mix).run(dram_cycles)
-        alone_ipcs_per_mix = [
+    baselines = []
+    alone_ipcs_per_mix = []
+    for traces in traces_per_mix:
+        baselines.append(
+            Simulation(config, traces, mitigation=None, step_mode=step_mode).run(
+                dram_cycles
+            )
+        )
+        alone_ipcs_per_mix.append(
             [
-                result.core_ipcs[0]
-                for result in SimulationBatch(
-                    config, [[trace] for trace in traces]
-                ).run(dram_cycles)
+                Simulation(config, [trace], mitigation=None, step_mode=step_mode)
+                .run(dram_cycles)
+                .core_ipcs[0]
+                for trace in traces
             ]
-            for traces in traces_per_mix
-        ]
-    else:
-        baselines = []
-        alone_ipcs_per_mix = []
-        for traces in traces_per_mix:
-            baselines.append(
-                Simulation(config, traces, mitigation=None, step_mode=step_mode).run(
-                    dram_cycles
-                )
-            )
-            alone_ipcs_per_mix.append(
-                [
-                    Simulation(config, [trace], mitigation=None, step_mode=step_mode)
-                    .run(dram_cycles)
-                    .core_ipcs[0]
-                    for trace in traces
-                ]
-            )
+        )
     baseline_speedups = [
         weighted_speedup(result.core_ipcs, alone)
         for result, alone in zip(baselines, alone_ipcs_per_mix)
@@ -573,8 +538,10 @@ def run_mitigation_study(
         for hcfirst in hcfirst_values:
             if respect_design_constraints and not is_evaluable(mechanism_name, hcfirst):
                 continue
-            mitigations = [
-                build_mechanism(
+            performances: List[float] = []
+            overheads: List[float] = []
+            for mix_index, traces in enumerate(traces_per_mix):
+                mitigation = build_mechanism(
                     mechanism_name,
                     MitigationConfig(
                         hcfirst=hcfirst,
@@ -585,24 +552,9 @@ def run_mitigation_study(
                         time_scale=time_scale,
                     ),
                 )
-                for mix_index in range(len(traces_per_mix))
-            ]
-            if use_batch:
-                # One batch per grid point: all of the point's mixes step in
-                # lockstep through the kernel.
-                results = SimulationBatch(
-                    config, traces_per_mix, mitigations=mitigations
+                result = Simulation(
+                    config, traces, mitigation=mitigation, step_mode=step_mode
                 ).run(dram_cycles)
-            else:
-                results = [
-                    Simulation(
-                        config, traces, mitigation=mitigation, step_mode=step_mode
-                    ).run(dram_cycles)
-                    for traces, mitigation in zip(traces_per_mix, mitigations)
-                ]
-            performances: List[float] = []
-            overheads: List[float] = []
-            for mix_index, result in enumerate(results):
                 speedup = weighted_speedup(result.core_ipcs, alone_ipcs_per_mix[mix_index])
                 performances.append(
                     normalized_performance(speedup, baseline_speedups[mix_index])

@@ -99,11 +99,15 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
+    #: Unreadable entries found by :meth:`ResultStore.get` (each also counts
+    #: as a miss).
+    corrupt: int = 0
 
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        self.corrupt = 0
 
 
 class ResultStore:
@@ -123,6 +127,8 @@ class ResultStore:
 
     #: Name of the advisory lock file kept at the store root.
     LOCK_FILENAME = ".lock"
+    #: Suffix of an unreadable entry renamed aside by :meth:`get`.
+    CORRUPT_SUFFIX = ".corrupt"
 
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = Path(root) if root is not None else None
@@ -190,19 +196,40 @@ class ResultStore:
     # Cache operations
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[StudyResult]:
-        """Fetch a cached result, or ``None`` on a miss."""
+        """Fetch a cached result, or ``None`` on a miss.
+
+        An entry that does not unpickle to a result of ``key``'s study
+        (truncated, garbage, or from a broken writer) is a miss: it is
+        renamed aside with :attr:`CORRUPT_SUFFIX`, so the unit re-executes
+        and the next ``put`` writes a fresh entry.
+        """
         result = self._memory.get(key)
         if result is None:
             path = self._path(key)
             if path is not None and path.exists():
-                with path.open("rb") as handle:
-                    result = pickle.load(handle)
-                self._memory[key] = result
+                result = self._load(key, path)
+                if result is not None:
+                    self._memory[key] = result
         if result is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return dataclasses.replace(result, from_cache=True)
+
+    def _load(self, key: CacheKey, path: Path) -> Optional[StudyResult]:
+        """Unpickle one entry; ``None`` (entry renamed aside) if unreadable."""
+        try:
+            with path.open("rb") as handle:
+                result = pickle.load(handle)
+            if isinstance(result, StudyResult) and result.study == key.study:
+                # Rebuilding the envelope also fails if a field went missing.
+                return dataclasses.replace(result)
+        except Exception:  # noqa: BLE001 - corrupt pickles raise many types
+            pass
+        self.stats.corrupt += 1
+        with self._write_lock(), contextlib.suppress(OSError):
+            path.replace(path.with_name(path.name + self.CORRUPT_SUFFIX))
+        return None
 
     def put(self, key: CacheKey, result: StudyResult) -> None:
         """Store a freshly executed result in memory and (if rooted) on disk."""

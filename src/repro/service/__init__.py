@@ -68,9 +68,10 @@ A dead worker's units are re-leased immediately (connection loss) or at
 the next sweep (heartbeat expiry), and retried under capped exponential
 backoff; a unit that fails ``max_attempts`` times is quarantined --
 reported to the client as poisoned -- without sinking other units,
-submissions or clients.  Completions are idempotent by unit key (which
-embeds the unit digest): re-dispatch races resolve to first-wins, with
-late duplicates counted and dropped.  See :mod:`repro.service.leases`.
+submissions or clients.  Completions are idempotent by unit key (scoped
+by submission, and embedding the unit digest): re-dispatch races resolve
+to first-wins, with late duplicates counted and dropped.  See
+:mod:`repro.service.leases`.
 
 Telemetry
 ---------
@@ -86,6 +87,7 @@ from repro.service.client import (
     PoisonedUnitError,
     SchedulerUnavailableError,
     ServiceClient,
+    SubmissionRefusedError,
     fetch_status,
 )
 from repro.service.leases import Lease, LeaseManager, UnitRecord, UnitState
@@ -110,6 +112,7 @@ __all__ = [
     "ServiceSelfTestResult",
     "ServiceWorker",
     "StreamingStats",
+    "SubmissionRefusedError",
     "UnitRecord",
     "UnitState",
     "fetch_status",

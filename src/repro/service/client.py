@@ -20,6 +20,13 @@ class SchedulerUnavailableError(ConnectionError):
     """The scheduler connection failed or dropped mid-submission."""
 
 
+class SubmissionRefusedError(RuntimeError):
+    """The scheduler refused a submission (a repeated or malformed unit).
+
+    The connection stays open, so the client may submit again.
+    """
+
+
 class PoisonedUnitError(RuntimeError):
     """One or more units were quarantined after exhausting their attempts.
 
@@ -119,7 +126,7 @@ class ServiceClient:
         )
         ack = self._recv()
         if ack.get("type") == "error":
-            raise SchedulerUnavailableError(f"submit rejected: {ack.get('error')}")
+            raise SubmissionRefusedError(str(ack.get("error")))
         if ack.get("type") != "submit_ack" or ack.get("client_id") != client_id:
             raise protocol.ProtocolError(f"expected submit_ack, got {ack!r}")
         return str(ack["submission_id"])

@@ -162,10 +162,15 @@ class LeaseManager:
             raise ValueError(f"duplicate submission id {submission_id!r}")
         if not units:
             raise ValueError("a submission needs at least one unit")
+        # Validate every key before registering any, so a refused
+        # submission leaves no records behind.
+        seen: Set[str] = set()
+        for unit in units:
+            if unit.key in self.units or unit.key in seen:
+                raise ValueError(f"duplicate unit key {unit.key!r}")
+            seen.add(unit.key)
         record = SubmissionRecord(submission_id=submission_id, label=label)
         for unit in units:
-            if unit.key in self.units:
-                raise ValueError(f"duplicate unit key {unit.key!r}")
             unit.submission_id = submission_id
             self.units[unit.key] = unit
             record.keys.append(unit.key)

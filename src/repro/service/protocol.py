@@ -33,6 +33,7 @@ Client -> scheduler::
 Scheduler -> client::
 
     {"type": "submit_ack", "submission_id": str, "units": int}
+    {"type": "error", "error": str, "client_id": str}   # submit refused
     {"type": "unit_complete", "submission_id": str, "key": str, "index": int,
      "attempts": int, "requeues": int, "elapsed_s": float, "outcome": blob}
     {"type": "unit_quarantined", "submission_id": str, "key": str,
@@ -40,6 +41,12 @@ Scheduler -> client::
     {"type": "submission_done", "submission_id": str, "completed": int,
      "quarantined": [str]}
     {"type": "status_reply", "status": {...}}
+
+A submit whose units repeat a key or lack a field is refused with an
+``error`` reply, and the connection stays open.  The scheduler scopes unit
+keys by submission: the keys it reports back and leases to workers are
+``"<submission_id>/<client key>"``, so a client may resubmit a study whose
+keys match an earlier submission's.
 
 Worker -> scheduler::
 

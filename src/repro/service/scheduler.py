@@ -143,6 +143,7 @@ class SchedulerServer:
         self._submission_ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweep_task: Optional[asyncio.Task] = None
+        self._connections: Dict[asyncio.Task, Connection] = {}
         self._stopping = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -179,6 +180,13 @@ class SchedulerServer:
                 pass
         if self._server is not None:
             self._server.close()
+        # Connected peers would otherwise keep their handlers pending past
+        # the loop's shutdown.  Closing a transport ends its handler's read
+        # loop, which then runs its normal disconnect cleanup.
+        for conn in self._connections.values():
+            conn.writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         # Set last: serve_forever (and the hosting thread's loop) must only
         # unblock once the listener and sweeper are fully torn down.
@@ -191,6 +199,8 @@ class SchedulerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = Connection(reader, writer)
+        task = asyncio.current_task()
+        self._connections[task] = conn
         try:
             try:
                 hello = protocol.check_hello(await conn.recv(), ("client", "worker"))
@@ -220,8 +230,11 @@ class SchedulerServer:
                     await conn.send({"type": "error", "error": str(exc)})
                     break
         finally:
-            await self._connection_lost(conn)
-            await conn.close()
+            try:
+                await self._connection_lost(conn)
+                await conn.close()
+            finally:
+                del self._connections[task]
 
     async def _dispatch(self, conn: Connection, message: Dict[str, Any]) -> None:
         kind = message.get("type")
@@ -255,10 +268,12 @@ class SchedulerServer:
             self.telemetry.worker_dead(conn.name, now)
             await self._apply_unit_events(events)
         elif conn.role == "client":
+            # The client has every result of its finished submissions, so
+            # their unit records are freed along with the unfinished ones.
             for sid, submission in list(self._submissions.items()):
-                if submission.client is conn and not submission.finished:
+                if submission.client is conn:
                     dropped = self.manager.cancel_submission(sid)
-                    if dropped:
+                    if dropped and not submission.finished:
                         self.telemetry.bump("submissions_cancelled")
                     del self._submissions[sid]
 
@@ -271,19 +286,34 @@ class SchedulerServer:
             raise protocol.ProtocolError("submit carries no units")
         submission_id = f"sub-{next(self._submission_ids)}"
         label = str(message.get("label") or "unlabelled")
-        records: List[UnitRecord] = []
-        for spec in units_spec:
-            records.append(
+        try:
+            # Unit keys are scoped by submission: a client key need only be
+            # unique within its own submission, so resubmitting a study
+            # never collides with an earlier submission's records.
+            records = [
                 UnitRecord(
-                    key=str(spec["key"]),
+                    key=f"{submission_id}/{spec['key']}",
                     submission_id=submission_id,
                     index=int(spec["index"]),
                     unit_digest=str(spec.get("unit_digest", "")),
                     task_blob=spec["task"],
                     cache=spec.get("cache"),
                 )
+                for spec in units_spec
+            ]
+            self.manager.add_submission(submission_id, label, records)
+        except (KeyError, TypeError, ValueError) as exc:
+            # Refuse the submission but keep the connection: a malformed
+            # or self-duplicating batch is the client's error, not a fault.
+            self.telemetry.bump("submissions_refused")
+            await conn.send(
+                {
+                    "type": "error",
+                    "error": f"submission refused: {exc}",
+                    "client_id": message.get("submission_id"),
+                }
             )
-        self.manager.add_submission(submission_id, label, records)
+            return
         self._submissions[submission_id] = _Submission(submission_id, conn)
         self.telemetry.bump("submissions_opened")
         self.telemetry.bump("units_submitted", len(records))

@@ -106,6 +106,7 @@ class SchedulerTelemetry:
             "submissions_opened": 0,
             "submissions_completed": 0,
             "submissions_cancelled": 0,
+            "submissions_refused": 0,
             "units_submitted": 0,
             "units_completed": 0,
             "units_failed": 0,

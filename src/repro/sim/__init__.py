@@ -1,4 +1,4 @@
-"""Cycle-level DDR4 memory-system simulator with two fast execution paths.
+"""Cycle-level DDR4 memory-system simulator with an event-driven fast path.
 
 This package replaces the paper's Ramulator + SPEC CPU2006 setup (Table 6)
 with a pure-Python equivalent:
@@ -18,45 +18,21 @@ with a pure-Python equivalent:
   workload mixes used in the evaluation.
 * :mod:`repro.sim.metrics` -- weighted speedup and bandwidth-overhead metrics.
 * :mod:`repro.sim.system` -- the top-level multi-core simulation harness.
-* :mod:`repro.sim.batch` / :mod:`repro.sim.kernel` -- sim-major batched
-  runs: many independent simulations stepped in lockstep through a numpy
-  structure-of-arrays kernel.
+* :mod:`repro.sim.batch` -- a group of independent simulations of one
+  configuration, run one after another (the Figure 10 alone-IPC group).
 
 Execution model
 ---------------
-There are three ways to execute a simulation, all bit-identical (the
-differential and golden suites enforce this per mechanism):
-
-* ``Simulation(step_mode="cycle")`` -- the per-cycle scanning oracle;
-* ``Simulation(step_mode="event")`` -- the event-queue fast path (the
-  default, ~4-5x the oracle);
-* ``SimulationBatch(..., backend="kernel")`` -- many simulations at once
-  through the batch kernel (~5.5x the oracle at batch size 64; see
-  ``docs/kernel_spike.md`` for why vectorization only pays *across*
-  simulations).
-
-Which path runs when
---------------------
-A single :class:`~repro.sim.system.Simulation` picks between ``"cycle"``
-and ``"event"`` via ``step_mode``; it never uses the kernel (numpy on one
-controller's bank arrays is slower than the tuned scalar scan).  Grouped
-runs -- the Figure 10 study's baselines, alone-IPC runs and grid cells --
-go through :class:`~repro.sim.batch.SimulationBatch`, which uses the
-kernel when :func:`repro.sim.kernel.kernel_enabled` allows (numpy
-importable, ``REPRO_SIM_KERNEL`` not set to ``off``/``0``/``false``...)
-and otherwise falls back to running each simulation through the event
-path.  The fallback never raises and produces the same results, so
-``REPRO_SIM_KERNEL=off`` doubles as a CI leg that re-pins every
-kernel-parameterized test against the event path.
-
 A :class:`~repro.sim.system.Simulation` runs in one of two bit-identical
-step modes:
+step modes (the differential and golden suites enforce this per
+mechanism):
 
 * ``step_mode="cycle"`` -- the reference implementation ticks the controller
   and every core at every DRAM cycle, scheduling by scanning the request
   queues directly.  It is the oracle the fast path is validated against
   (``tests/sim/test_golden_trace.py``).
-* ``step_mode="event"`` (default) -- the event-queue fast path.  All state
+* ``step_mode="event"`` (default) -- the event-queue fast path, ~4-5x the
+  oracle on the Figure 10 mixes (``BENCH_sim.json``).  All state
   changes happen at *events*: command issues, read-data completions,
   periodic refreshes, mitigation timers, and trace injections by the cores.
   The run loop is keyed on one :class:`~repro.sim.events.EventQueue`:
@@ -108,20 +84,17 @@ attach time and polled on every horizon computation, with the old contract
 responsibility).  New code should prefer the port API: it is cheaper (no
 per-tick poll) and the controller owns the dispatch.
 
-How a mitigation stays kernel-compatible
-----------------------------------------
-The batch kernel never vectorizes mechanism code: controllers remain the
-authoritative state and every ``on_activate`` / ``on_refresh`` /
-``on_timer`` hook runs as ordinary scalar Python in oracle order, with
-the per-simulation quiet horizon clamped to ``min(next_refresh,
-earliest_completion, next_timer)`` so a fast-forward can never jump a
-mechanism's event.  A mechanism is therefore kernel-compatible exactly
-when it is event-compatible: interact with the simulation only through
-the hook and :class:`~repro.sim.controller.MitigationEventPort` APIs
-(plus ``mitigation_busy_cycles`` accounting), and never assume the
-controller is ticked on every cycle.  All shipped mechanisms -- including
-the RNG-driven (PARA) and timer-driven (scrubber) ones -- run unmodified
-under all three paths.
+A mechanism stays event-compatible by interacting with the simulation only
+through the hooks and the :class:`~repro.sim.controller.MitigationEventPort`
+API (plus ``mitigation_busy_cycles`` accounting), and by never assuming the
+controller is ticked on every cycle.
+
+Vectorization
+-------------
+Numpy on one controller's 16 bank slots is slower than the scalar indexed
+scan, and a sim-major kernel that stepped many simulations in lockstep only
+beat the event loop at 64 simulations, a shape no caller builds.  It was
+removed; ``docs/kernel_spike.md`` records the measurements.
 """
 
 from repro.sim.config import SystemConfig

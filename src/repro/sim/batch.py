@@ -1,27 +1,15 @@
-"""Sim-major batched simulation runs (the Figure 10 throughput path).
+"""A group of independent simulations of one system configuration.
 
-A :class:`SimulationBatch` runs many independent simulations of the *same*
-system configuration -- the shape of the Figure 10 study, where every
-(mechanism, HC_first, mix) cell is one simulation over the same Table 6
-system -- and steps them in lockstep through the vectorized
-:class:`~repro.sim.kernel.BatchKernel` when it is available.  Batching is
-what makes vectorization pay: numpy on a single 16-bank controller is
-slower than the tuned scalar scan (measured in ``docs/kernel_spike.md``),
-but one array operation spanning all simulations' banks amortizes the
-dispatch overhead away.
+A :class:`SimulationBatch` runs each of its simulations through
+:class:`~repro.sim.system.Simulation`, one after another, in the chosen
+step mode.  The Figure 10 study uses it for a baseline unit's alone-IPC
+group (one single-core simulation per core of the mix), so the group is one
+call with one set of results.
 
-Backend selection
------------------
-``backend="auto"`` (the default) uses the kernel when
-:func:`repro.sim.kernel.kernel_enabled` allows -- numpy importable and
-``REPRO_SIM_KERNEL`` not set to ``off`` -- and otherwise falls back to
-running each simulation through the pure-Python event path, never raising.
-``backend="kernel"`` and ``backend="event"`` force the respective path
-(``"kernel"`` still falls back to the event path when the kernel is
-unavailable, so a forced-kernel call site degrades gracefully on a
-numpy-less install).  Every backend produces bit-identical
-:class:`~repro.sim.system.SimulationResult` lists; the differential and
-golden suites pin all of them to the ``step_mode="cycle"`` oracle.
+The batch adds no execution strategy of its own.  An earlier sim-major
+numpy kernel stepped a batch's simulations in lockstep, but it ran at
+0.19-0.86x of the event loop at every batch size the harness builds; it was
+removed, and ``docs/kernel_spike.md`` records the measurements.
 """
 
 from __future__ import annotations
@@ -29,16 +17,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.sim.config import SystemConfig
-from repro.sim.controller import MemoryController
-from repro.sim.core import CoreStats
-from repro.sim.kernel import BatchKernel, kernel_enabled
 from repro.sim.system import Simulation, SimulationResult
 from repro.sim.trace import TraceRecord
 
-__all__ = ["SimulationBatch", "BATCH_BACKENDS"]
-
-#: Valid values of the ``backend`` flag.
-BATCH_BACKENDS = ("auto", "kernel", "event")
+__all__ = ["SimulationBatch"]
 
 
 class SimulationBatch:
@@ -54,11 +36,9 @@ class SimulationBatch:
     mitigations:
         Optional list of per-simulation mitigation mechanism instances
         (``None`` entries run unmitigated).  Each simulation needs its own
-        instance -- mechanisms carry per-run state -- matching how the
-        mitigation study constructs them.
-    backend:
-        ``"auto"`` (default), ``"kernel"``, or ``"event"`` -- see the
-        module docstring.
+        instance -- mechanisms carry per-run state.
+    step_mode:
+        The :class:`~repro.sim.system.Simulation` step mode of every run.
     """
 
     def __init__(
@@ -66,92 +46,30 @@ class SimulationBatch:
         config: SystemConfig,
         trace_sets: Sequence[Sequence[Sequence[TraceRecord]]],
         mitigations: Optional[Sequence] = None,
-        backend: str = "auto",
+        step_mode: str = "event",
     ) -> None:
-        if backend not in BATCH_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BATCH_BACKENDS}, got {backend!r}"
-            )
-        if not trace_sets:
-            raise ValueError("at least one simulation is required")
         if mitigations is None:
             mitigations = [None] * len(trace_sets)
         if len(mitigations) != len(trace_sets):
             raise ValueError("one mitigation entry per simulation (or None)")
-        for traces in trace_sets:
-            if not traces:
-                raise ValueError("every simulation needs at least one core trace")
         self.config = config
-        self.trace_sets = [list(traces) for traces in trace_sets]
-        self.mitigations = list(mitigations)
-        #: The backend that will actually execute (fallback already applied).
-        self.backend = (
-            "kernel" if backend in ("auto", "kernel") and kernel_enabled() else "event"
-        )
+        self.trace_sets = trace_sets
+        self.mitigations = mitigations
+        self.step_mode = step_mode
         self._ran = False
-        #: Per-simulation controllers of the completed run (set by run();
-        #: exposed so tests can audit post-run controller state).
-        self.controllers = None
 
     def run(self, dram_cycles: int) -> List[SimulationResult]:
         """Run every simulation for ``dram_cycles`` DRAM cycles.
 
-        Single-shot: a batch's simulations carry mutated mechanism and
-        controller state after a run, so reusing the object would not
-        reproduce fresh-run results.
+        Single-shot: the mechanisms carry mutated state after a run, so a
+        second run would not reproduce the first.
         """
-        if dram_cycles <= 0:
-            raise ValueError("dram_cycles must be positive")
         if self._ran:
             raise RuntimeError("SimulationBatch.run is single-shot; build a new batch")
         self._ran = True
-        if self.backend == "kernel":
-            return self._run_kernel(dram_cycles)
-        return self._run_event(dram_cycles)
-
-    def _run_event(self, dram_cycles: int) -> List[SimulationResult]:
-        """Pure-Python fallback: each simulation through the event path."""
-        results = []
-        self.controllers = controllers = []
-        for traces, mitigation in zip(self.trace_sets, self.mitigations):
-            simulation = Simulation(
-                self.config, traces, mitigation=mitigation, step_mode="event"
-            )
-            results.append(simulation.run(dram_cycles))
-            controllers.append(simulation.controller)
-        return results
-
-    def _run_kernel(self, dram_cycles: int) -> List[SimulationResult]:
-        self.controllers = controllers = [
-            MemoryController(self.config, mitigation=mitigation)
-            for mitigation in self.mitigations
+        return [
+            Simulation(
+                self.config, traces, mitigation=mitigation, step_mode=self.step_mode
+            ).run(dram_cycles)
+            for traces, mitigation in zip(self.trace_sets, self.mitigations)
         ]
-        kernel = BatchKernel(self.config, controllers, self.trace_sets)
-        kernel.run(dram_cycles)
-        results = []
-        for controller, mitigation, sim_cells in zip(
-            controllers, self.mitigations, kernel.cells
-        ):
-            core_stats = [
-                CoreStats(
-                    cpu_cycles=cell.cpu_cycles,
-                    instructions_retired=cell.instructions,
-                    memory_reads_issued=cell.reads_issued,
-                    memory_writes_issued=cell.writes_issued,
-                    stall_cycles=cell.stall_cycles,
-                )
-                for cell in sim_cells
-            ]
-            stats = controller.stats
-            results.append(
-                SimulationResult(
-                    dram_cycles=dram_cycles,
-                    core_ipcs=[stats_.ipc for stats_ in core_stats],
-                    core_stats=core_stats,
-                    controller_stats=stats,
-                    mitigation_busy_cycles=controller.mitigation_busy_cycles(),
-                    demand_busy_cycles=float(stats.demand_busy_cycles),
-                    mitigation_name=getattr(mitigation, "name", "none"),
-                )
-            )
-        return results

@@ -132,19 +132,10 @@ class MitigationEventPort:
         controller._mitigation_timer = cycle
         if cycle < controller._quiet_until:
             controller._quiet_until = cycle
-        if controller._k_open is not None:
-            s = controller._k_s
-            controller._k_timer[s] = cycle
-            q = controller._k_quiet
-            if cycle < q[s]:
-                q[s] = cycle
 
     def cancel_timer(self) -> None:
         """Drop the pending timer, if any."""
-        controller = self._controller
-        controller._mitigation_timer = _NEVER
-        if controller._k_open is not None:
-            controller._k_timer[controller._k_s] = _NEVER
+        self._controller._mitigation_timer = _NEVER
 
     @property
     def timer_cycle(self) -> int:
@@ -272,18 +263,6 @@ class MemoryController:
         #: victim refresh the controller issues.
         self.activate_hook = None
         self.victim_refresh_hook = None
-        # Batch-kernel mirrors (attached by repro.sim.kernel.BatchKernel
-        # when this controller is one lane of a SimulationBatch).
-        # ``_k_open`` doubles as the attached flag; while attached, the
-        # remaining ``_k_*`` attributes hold this controller's row views of
-        # the batch's per-bank arrays and the shared per-simulation arrays
-        # (indexed by ``_k_s``).  Every site that mutates indexed scheduling
-        # state pushes the new value through under an ``if self._k_open is
-        # not None`` guard, so the batch's vectorized scan never re-reads
-        # Python-object state; outside a batch each guard costs one
-        # attribute check.
-        self._k_open = None
-        self._k_s = 0
         # Mitigation timer slot (the event-registration API) plus the compat
         # shim: mechanisms that override the legacy ``next_event_cycle`` hook
         # keep being polled on every horizon computation.
@@ -304,19 +283,11 @@ class MemoryController:
     def _sync_bank(self, bank_index: int) -> None:
         """Refresh the flat per-bank mirrors after a bank mutation."""
         bank = self.banks[bank_index]
-        row = bank.open_row
-        self._bank_open_row[bank_index] = row
+        self._bank_open_row[bank_index] = bank.open_row
         self._bank_next_activate[bank_index] = bank.next_activate
         self._bank_next_precharge[bank_index] = bank.next_precharge
         self._bank_next_read[bank_index] = bank.next_read
         self._bank_next_write[bank_index] = bank.next_write
-        ko = self._k_open
-        if ko is not None:
-            ko[bank_index] = -1 if row is None else row
-            self._k_nact[bank_index] = bank.next_activate
-            self._k_npre[bank_index] = bank.next_precharge
-            self._k_nrd[bank_index] = bank.next_read
-            self._k_nwr[bank_index] = bank.next_write
 
     def _sync_bank_precharge(self, bank_index: int) -> None:
         """Mirror sync specialized for a precharge (only the row closes and
@@ -324,9 +295,6 @@ class MemoryController:
         bank = self.banks[bank_index]
         self._bank_open_row[bank_index] = None
         self._bank_next_activate[bank_index] = bank.next_activate
-        if self._k_open is not None:
-            self._k_open[bank_index] = -1
-            self._k_nact[bank_index] = bank.next_activate
 
     def _sync_bank_column(self, bank_index: int) -> None:
         """Mirror sync specialized for a column access (only the column and
@@ -335,10 +303,6 @@ class MemoryController:
         self._bank_next_precharge[bank_index] = bank.next_precharge
         self._bank_next_read[bank_index] = bank.next_read
         self._bank_next_write[bank_index] = bank.next_write
-        if self._k_open is not None:
-            self._k_npre[bank_index] = bank.next_precharge
-            self._k_nrd[bank_index] = bank.next_read
-            self._k_nwr[bank_index] = bank.next_write
 
     def _clear_bank_hits(self, bank_index: int) -> None:
         """Zero both queues' hit accounting for a bank that closed its row."""
@@ -346,11 +310,6 @@ class MemoryController:
         self._write_hits[bank_index] = 0
         self._read_hit_seq[bank_index] = _NEVER
         self._write_hit_seq[bank_index] = _NEVER
-        if self._k_open is not None:
-            self._k_rhits[bank_index] = 0
-            self._k_whits[bank_index] = 0
-            self._k_rhit[bank_index] = _NEVER
-            self._k_whit[bank_index] = _NEVER
 
     # ------------------------------------------------------------------
     # Enqueue interface (used by cores)
@@ -388,30 +347,13 @@ class MemoryController:
             self._read_pending[bank] = pending + 1
             if not pending:
                 self._read_head_seq[bank] = seq
-            new_hits = 0
             if self._bank_open_row[bank] == row:
-                new_hits = self._read_hits[bank] + 1
-                self._read_hits[bank] = new_hits
-                if new_hits == 1:
+                hits = self._read_hits[bank]
+                self._read_hits[bank] = hits + 1
+                if not hits:
                     self._read_hit_seq[bank] = seq
             if self._quiet_until > cycle:
                 self._fold_enqueue_bound(bank, row, False, cycle)
-            if self._k_open is not None:
-                # Only the mirrors this enqueue actually changed.  In batch
-                # mode ``_quiet_until`` stays parked at 0 (the array is the
-                # authoritative quiet bound), so the fold above never ran;
-                # re-gate it on the array instead.
-                self._k_rpend[bank] = pending + 1
-                if not pending:
-                    self._k_rhead[bank] = seq
-                if new_hits:
-                    self._k_rhits[bank] = new_hits
-                    if new_hits == 1:
-                        self._k_rhit[bank] = seq
-                s = self._k_s
-                self._k_rlen[s] = self.read_len
-                if self._k_quiet[s] > cycle:
-                    self._fold_enqueue_bound(bank, row, False, cycle)
         elif request_type is RequestType.WRITE:
             if self.write_len >= self._write_depth:
                 return False
@@ -432,11 +374,10 @@ class MemoryController:
             self._write_pending[bank] = pending + 1
             if not pending:
                 self._write_head_seq[bank] = seq
-            new_hits = 0
             if self._bank_open_row[bank] == row:
-                new_hits = self._write_hits[bank] + 1
-                self._write_hits[bank] = new_hits
-                if new_hits == 1:
+                hits = self._write_hits[bank]
+                self._write_hits[bank] = hits + 1
+                if not hits:
                     self._write_hit_seq[bank] = seq
             if self._quiet_until > cycle:
                 if self.write_len == self._write_drain_level:
@@ -452,34 +393,11 @@ class MemoryController:
                 # that.
             # Posted write: the core considers it done once buffered.
             request.complete(cycle)
-            if self._k_open is not None:
-                self._k_wpend[bank] = pending + 1
-                if not pending:
-                    self._k_whead[bank] = seq
-                if new_hits:
-                    self._k_whits[bank] = new_hits
-                    if new_hits == 1:
-                        self._k_whit[bank] = seq
-                s = self._k_s
-                self._k_wlen[s] = self.write_len
-                q = self._k_quiet
-                if q[s] > cycle:
-                    # Array-side port of the attr quiet logic above (the
-                    # attr is parked at 0 while attached, so that branch
-                    # never ran).
-                    if self.write_len == self._write_drain_level:
-                        q[s] = 0
-                    elif not self.read_len or self.write_len >= self._write_drain_level:
-                        self._fold_enqueue_bound(bank, row, True, cycle)
         else:
             self.victim_queue.append(request)
             request.arrival_cycle = cycle
             self.enqueue_count += 1
             self._quiet_until = 0
-            if self._k_open is not None:
-                s = self._k_s
-                self._k_quiet[s] = 0
-                self._k_vict[s] = True
         return True
 
     def _fold_enqueue_bound(self, bank: int, row: int, is_write: bool, cycle: int) -> None:
@@ -518,11 +436,6 @@ class MemoryController:
             bound = cycle
         if bound < self._quiet_until:
             self._quiet_until = bound
-        if self._k_open is not None:
-            q = self._k_quiet
-            s = self._k_s
-            if bound < q[s]:
-                q[s] = bound
 
     @property
     def outstanding_requests(self) -> int:
@@ -740,16 +653,6 @@ class MemoryController:
         self._next_refresh += timings.trefi
         self.stats.refresh_commands += 1
         self.stats.refresh_busy_cycles += timings.trfc
-        if self._k_open is not None:
-            # The per-bank sync above already pushed the bank timers; zero
-            # the whole hit rows and advance the refresh scalars in one go.
-            self._k_rhits[:] = 0
-            self._k_whits[:] = 0
-            self._k_rhit[:] = _NEVER
-            self._k_whit[:] = _NEVER
-            s = self._k_s
-            self._k_nref[s] = self._next_refresh
-            self._k_runtil[s] = end
         if self.mitigation is not None:
             for bank, row in self.mitigation.on_refresh(cycle):
                 self._enqueue_victim_refresh(bank, row, cycle)
@@ -761,8 +664,6 @@ class MemoryController:
     def _fire_mitigation_timer(self, cycle: int) -> bool:
         """Dispatch a due autonomous mitigation timer (both step modes)."""
         self._mitigation_timer = _NEVER
-        if self._k_open is not None:
-            self._k_timer[self._k_s] = _NEVER
         if self.mitigation is not None:
             on_timer = getattr(self.mitigation, "on_timer", None)
             if on_timer is not None:
@@ -946,47 +847,31 @@ class MemoryController:
         # Then oldest first: the oldest request among issuable banks.
         if best_old_bank >= 0:
             if best_precharge:
-                self._issue_precharge(best_old_bank, cycle)
-            else:
-                self._issue_activate(best_old_bank, cycle, is_write)
+                self.banks[best_old_bank].precharge(cycle)
+                self._sync_bank_precharge(best_old_bank)
+                # This queue had no hits on the bank (that is what allowed
+                # the precharge), but the other queue may have; the bank is
+                # closed now, so neither has any.
+                self._clear_bank_hits(best_old_bank)
+                self.stats.row_conflicts += 1
+                return None
+            fifo = self._write_fifo[best_old_bank] if is_write else self._read_fifo[best_old_bank]
+            head = fifo[0]
+            while head.popped:
+                fifo.popleft()
+                head = fifo[0]
+            row = head.row
+            self.banks[best_old_bank].activate(cycle, row)
+            self._sync_bank(best_old_bank)
+            self.rank.record_activate(cycle)
+            self.stats.demand_activates += 1
+            self.stats.demand_busy_cycles += self.timings.trc
+            self._recount_hits(best_old_bank, row)
+            self._notify_activation(best_old_bank, row, cycle)
+            if self.activate_hook is not None:
+                self.activate_hook(best_old_bank, row, cycle)
             return None
         return horizon
-
-    def _issue_precharge(self, bank_index: int, cycle: int) -> None:
-        """Close ``bank_index``'s row for its oldest conflicting request.
-
-        Shared issue tail of :meth:`_issue_demand` and the batch kernel's
-        vectorized selection.  The issuing queue had no hits on the bank
-        (that is what allowed the precharge), but the other queue may have;
-        the bank is closed now, so neither has any.
-        """
-        self.banks[bank_index].precharge(cycle)
-        self._sync_bank_precharge(bank_index)
-        self._clear_bank_hits(bank_index)
-        self.stats.row_conflicts += 1
-
-    def _issue_activate(self, bank_index: int, cycle: int, is_write: bool) -> None:
-        """Activate the row of ``bank_index``'s oldest queued request.
-
-        Shared issue tail of :meth:`_issue_demand` and the batch kernel's
-        vectorized selection; dispatches the mitigation's ``on_activate``
-        hook and any co-simulation observer.
-        """
-        fifo = self._write_fifo[bank_index] if is_write else self._read_fifo[bank_index]
-        head = fifo[0]
-        while head.popped:
-            fifo.popleft()
-            head = fifo[0]
-        row = head.row
-        self.banks[bank_index].activate(cycle, row)
-        self._sync_bank(bank_index)
-        self.rank.record_activate(cycle)
-        self.stats.demand_activates += 1
-        self.stats.demand_busy_cycles += self.timings.trc
-        self._recount_hits(bank_index, row)
-        self._notify_activation(bank_index, row, cycle)
-        if self.activate_hook is not None:
-            self.activate_hook(bank_index, row, cycle)
 
     def _recount_hits(self, bank_index: int, open_row: int) -> None:
         """Refresh the per-bank hit accounting after a bank opened ``open_row``.
@@ -1018,11 +903,6 @@ class MemoryController:
             self._write_hit_seq[bank_index] = head.seq
         else:
             self._write_hit_seq[bank_index] = _NEVER
-        if self._k_open is not None:
-            self._k_rhits[bank_index] = self._read_hits[bank_index]
-            self._k_rhit[bank_index] = self._read_hit_seq[bank_index]
-            self._k_whits[bank_index] = self._write_hits[bank_index]
-            self._k_whit[bank_index] = self._write_hit_seq[bank_index]
 
     def _row_has_pending_hit(
         self, bank_index: int, open_row: int, queue: List[MemoryRequest]
@@ -1064,10 +944,6 @@ class MemoryController:
                 # bounding the row-bucket dicts by live queue contents.
                 del self._write_row_count[key]
                 del self._write_rows[key]
-            if self._k_open is not None:
-                self._k_wlen[self._k_s] = self.write_len
-                self._k_wpend[bank] = self._write_pending[bank]
-                self._k_whits[bank] = self._write_hits[bank]
         else:
             self.read_len -= 1
             self._read_pending[bank] -= 1
@@ -1078,10 +954,6 @@ class MemoryController:
             else:
                 del self._read_row_count[key]
                 del self._read_rows[key]
-            if self._k_open is not None:
-                self._k_rlen[self._k_s] = self.read_len
-                self._k_rpend[bank] = self._read_pending[bank]
-                self._k_rhits[bank] = self._read_hits[bank]
 
     def _perform_column(self, request: MemoryRequest, cycle: int, is_write: bool) -> None:
         """Issue the column access for a dequeued row-hit request."""
@@ -1100,8 +972,6 @@ class MemoryController:
         self._pending_completions.append((data_done, request))
         if data_done < self.earliest_completion_cycle:
             self.earliest_completion_cycle = data_done
-            if self._k_open is not None:
-                self._k_comp[self._k_s] = data_done
 
     def _issue_column_fast(self, bank: int, cycle: int, is_write: bool) -> None:
         """Fast-path column issue of ``bank``'s oldest row hit.
@@ -1150,13 +1020,6 @@ class MemoryController:
                 head_seqs[bank] = head.seq
         else:
             head_seqs[bank] = _NEVER
-        if self._k_open is not None:
-            if is_write:
-                self._k_whit[bank] = hit_seqs[bank]
-                self._k_whead[bank] = head_seqs[bank]
-            else:
-                self._k_rhit[bank] = hit_seqs[bank]
-                self._k_rhead[bank] = head_seqs[bank]
         if is_write:
             self._write_dead += 1
             if (
@@ -1214,8 +1077,6 @@ class MemoryController:
         completed = len(still_pending) < len(self._pending_completions)
         self._pending_completions = still_pending
         self.earliest_completion_cycle = earliest
-        if self._k_open is not None:
-            self._k_comp[self._k_s] = earliest
         return completed
 
     # ------------------------------------------------------------------
@@ -1364,8 +1225,6 @@ class MemoryController:
             arrival_cycle=cycle,
         )
         self.victim_queue.append(request)
-        if self._k_open is not None:
-            self._k_vict[self._k_s] = True
 
     # ------------------------------------------------------------------
     # Bandwidth accounting

@@ -20,29 +20,7 @@ from repro.sim.events import NEVER
 from repro.sim.requests import MemoryRequest, RequestType
 from repro.sim.trace import TraceRecord
 
-__all__ = ["NEVER", "CoreStats", "SimpleCore", "flatten_trace"]
-
-
-def flatten_trace(trace: Sequence[TraceRecord]):
-    """Split a trace into parallel per-field lists.
-
-    The batch kernel's per-(simulation, core) cells step the trace through
-    flat lists instead of :class:`~repro.sim.trace.TraceRecord` attribute
-    chains -- same data, cheaper hot-path reads.  Returns
-    ``(bubbles, is_write, banks, rows, columns)``.
-    """
-    bubbles: List[int] = []
-    is_write: List[bool] = []
-    banks: List[int] = []
-    rows: List[int] = []
-    columns: List[int] = []
-    for record in trace:
-        bubbles.append(record.bubble_instructions)
-        is_write.append(record.is_write)
-        banks.append(record.bank)
-        rows.append(record.row)
-        columns.append(record.column)
-    return bubbles, is_write, banks, rows, columns
+__all__ = ["NEVER", "CoreStats", "SimpleCore"]
 
 
 @dataclass(slots=True)
@@ -64,20 +42,12 @@ class CoreStats:
 
 
 class _WindowEntry:
-    """One in-flight instruction-window entry (a pending memory read).
-
-    The entry is itself a valid completion callback (calling it marks it
-    completed), so issuers can pass the entry directly as a request's
-    ``completion_callback`` instead of allocating a closure per read.
-    """
+    """One in-flight instruction-window entry (a pending memory read)."""
 
     __slots__ = ("completed",)
 
     def __init__(self) -> None:
         self.completed = False
-
-    def __call__(self, _cycle: int) -> None:
-        self.completed = True
 
 
 class SimpleCore:

@@ -34,13 +34,6 @@ revalidation (the owner reschedules it later), while an entry later than
 its owner's true horizon would let the clock jump over an event.  Owners
 must therefore only ever move their entry **later** after re-evaluating
 their own state, which is what :meth:`schedule`'s reschedule form is for.
-
-The sim-major batch kernel (:mod:`repro.sim.kernel`) replaces this queue
-with a dense ``(sims, cores)`` wake array -- a vectorized ``min`` over a
-small dense array beats a heap when every batch step consults every
-simulation anyway -- but it preserves the same lower-bound and FIFO
-tie-break semantics, which is how the batch path stays bit-identical to
-the event loop this queue drives.
 """
 
 from __future__ import annotations

@@ -1,18 +1,13 @@
-"""Kernel-vs-oracle differential suite (hypothesis).
+"""Batch-vs-oracle differential suite (hypothesis).
 
 Random trace soups over random system geometries and mechanism draws run
-through all three execution paths -- the sim-major batch kernel
-(:class:`repro.sim.batch.SimulationBatch` with ``backend="kernel"``), the
-event-driven fast path, and the ``step_mode="cycle"`` oracle -- asserting
-bit-identical statistics across the three.  A separate adversarial class
+through a :class:`repro.sim.batch.SimulationBatch` on the event-driven fast
+path and through the ``step_mode="cycle"`` oracle, one simulation at a
+time, asserting bit-identical statistics.  A separate adversarial class
 drives refresh-boundary and tFAW-pressure schedules: request bursts timed
 at ``n * tREFI`` edges (with a fast-refresh timing variant so runs cross
 many boundaries), runs that end exactly on / one before / one after a
 boundary, and zero-bubble round-robin activate storms.
-
-The kernel variant degrades to the event path under
-``REPRO_SIM_KERNEL=off`` (the CI fallback leg), so this suite then pins
-the fallback instead of vacuously passing.
 """
 
 import dataclasses
@@ -63,21 +58,21 @@ def build_mitigation(config, mechanism_name, hcfirst, seed):
 
 
 def assert_all_modes_identical(config, trace_sets, mechanism_name, hcfirst, seed, cycles):
-    """One batch through the kernel vs per-simulation event and cycle runs."""
+    """One event-mode batch vs per-simulation cycle-oracle runs."""
     mitigations = [
         build_mitigation(config, mechanism_name, hcfirst, seed) for _ in trace_sets
     ]
-    batch = SimulationBatch(config, trace_sets, mitigations=mitigations, backend="kernel")
-    kernel_fps = [fingerprint(result) for result in batch.run(cycles)]
-    for mode in ("event", "cycle"):
-        for traces, kernel_fp in zip(trace_sets, kernel_fps):
-            simulation = Simulation(
-                config,
-                traces,
-                mitigation=build_mitigation(config, mechanism_name, hcfirst, seed),
-                step_mode=mode,
-            )
-            assert fingerprint(simulation.run(cycles)) == kernel_fp, mode
+    batch = SimulationBatch(config, trace_sets, mitigations=mitigations)
+    batch_fps = [fingerprint(result) for result in batch.run(cycles)]
+    assert len(batch_fps) == len(trace_sets)
+    for traces, batch_fp in zip(trace_sets, batch_fps):
+        simulation = Simulation(
+            config,
+            traces,
+            mitigation=build_mitigation(config, mechanism_name, hcfirst, seed),
+            step_mode="cycle",
+        )
+        assert fingerprint(simulation.run(cycles)) == batch_fp
 
 
 @st.composite
@@ -123,7 +118,7 @@ class TestRandomSoups:
     @given(system_and_soup(), st.integers(2, 4))
     def test_random_soup_batched_sims_identical(self, drawn, copies):
         """Several simulations of one soup in one batch (rotated traces so
-        the lockstep simulations genuinely diverge)."""
+        the simulations genuinely diverge)."""
         config, traces, mechanism, hcfirst, seed = drawn
         trace_sets = [
             [trace[shift:] + trace[:shift] for trace in traces]

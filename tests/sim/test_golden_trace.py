@@ -1,17 +1,12 @@
 """Golden-trace regression suite: event-driven mode vs the cycle reference.
 
-Both fast paths -- the event-driven mode (``step_mode="event"``) and the
-sim-major batch kernel (:class:`repro.sim.batch.SimulationBatch` with
-``backend="kernel"``) -- must be *bit-identical* to the cycle-by-cycle
-reference (``step_mode="cycle"``): every
+The event-driven fast path (``step_mode="event"``) must be *bit-identical*
+to the cycle-by-cycle reference (``step_mode="cycle"``) -- every
 :class:`~repro.sim.system.SimulationResult` field, every counter.  The
 reference scheduler makes its decisions by scanning the request queues and
 ``BankState`` objects directly, independently of the incremental bookkeeping
-(per-bank pending/hit counters, flat bank mirrors, quiet-until cache,
-batch-kernel array mirrors) the fast paths rely on, so these tests validate
-that machinery end to end.  Every golden is parameterized over both fast
-paths; under ``REPRO_SIM_KERNEL=off`` (the CI fallback leg) the kernel
-variant degrades to the event path, keeping the fallback itself covered.
+(per-bank pending/hit counters, flat bank mirrors, quiet-until cache) the
+fast path relies on, so these tests validate that machinery end to end.
 
 The tier-1 tests here run each mitigation mechanism on a tiny fixed-seed
 workload; the ``slow`` marker covers the full Table 6 system over several
@@ -24,7 +19,6 @@ import pytest
 
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
-from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
@@ -41,8 +35,6 @@ GOLDEN_SYSTEM = SystemConfig(
 )
 
 GOLDEN_SEED = 7
-#: Both fast paths every golden is pinned against the cycle oracle.
-FAST_MODES = ("event", "kernel")
 #: Long enough to cross at least one tREFI boundary (periodic refresh).
 GOLDEN_CYCLES = 10_000
 
@@ -58,43 +50,25 @@ def build_traces(config, cores=None, requests_per_core=800, seed=GOLDEN_SEED):
     )
 
 
-def run_both(
-    config,
-    traces,
-    mitigation_name=None,
-    hcfirst=2_000,
-    dram_cycles=GOLDEN_CYCLES,
-    fast_mode="event",
-):
-    """Run the same workload through the cycle oracle and one fast path."""
-
-    def build_mitigation():
-        if mitigation_name is None:
-            return None
-        return build_mechanism(
-            mitigation_name,
-            MitigationConfig(
-                hcfirst=hcfirst,
-                banks=config.banks,
-                rows_per_bank=config.rows_per_bank,
-                timings=config.timings,
-                seed=GOLDEN_SEED,
-            ),
-        )
-
-    reference = Simulation(
-        config, traces, mitigation=build_mitigation(), step_mode="cycle"
-    ).run(dram_cycles)
-    if fast_mode == "kernel":
-        batch = SimulationBatch(
-            config, [traces], mitigations=[build_mitigation()], backend="kernel"
-        )
-        fast = batch.run(dram_cycles)[0]
-    else:
-        fast = Simulation(
-            config, traces, mitigation=build_mitigation(), step_mode="event"
-        ).run(dram_cycles)
-    return reference, fast
+def run_both(config, traces, mitigation_name=None, hcfirst=2_000, dram_cycles=GOLDEN_CYCLES):
+    """Run the same workload in both step modes and return both results."""
+    results = []
+    for step_mode in ("cycle", "event"):
+        mitigation = None
+        if mitigation_name is not None:
+            mitigation = build_mechanism(
+                mitigation_name,
+                MitigationConfig(
+                    hcfirst=hcfirst,
+                    banks=config.banks,
+                    rows_per_bank=config.rows_per_bank,
+                    timings=config.timings,
+                    seed=GOLDEN_SEED,
+                ),
+            )
+        simulation = Simulation(config, traces, mitigation=mitigation, step_mode=step_mode)
+        results.append(simulation.run(dram_cycles))
+    return results
 
 
 def assert_bit_identical(reference, fast):
@@ -112,11 +86,10 @@ def assert_bit_identical(reference, fast):
         assert dataclasses.asdict(ref_core) == dataclasses.asdict(fast_core)
 
 
-@pytest.mark.parametrize("fast_mode", FAST_MODES)
 class TestGoldenTraces:
-    def test_baseline_golden(self, fast_mode):
+    def test_baseline_golden(self):
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(GOLDEN_SYSTEM, traces, fast_mode=fast_mode)
+        reference, fast = run_both(GOLDEN_SYSTEM, traces)
         assert_bit_identical(reference, fast)
         # The run must have exercised the memory system, not idled through it.
         assert reference.controller_stats.reads_serviced > 0
@@ -124,37 +97,31 @@ class TestGoldenTraces:
         assert reference.controller_stats.refresh_commands > 0
 
     @pytest.mark.parametrize("mechanism", available_mechanisms())
-    def test_mechanism_golden(self, mechanism, fast_mode):
+    def test_mechanism_golden(self, mechanism):
         """Each mitigation mechanism is bit-identical across step modes."""
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(
-            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, fast_mode=fast_mode
-        )
+        reference, fast = run_both(GOLDEN_SYSTEM, traces, mitigation_name=mechanism)
         assert_bit_identical(reference, fast)
         assert reference.mitigation_name == fast.mitigation_name != "none"
 
     @pytest.mark.parametrize("mechanism", ["PARA", "Ideal", "TWiCe-ideal"])
-    def test_mechanism_golden_vulnerable_chip(self, mechanism, fast_mode):
+    def test_mechanism_golden_vulnerable_chip(self, mechanism):
         """Low HC_first means constant victim-refresh traffic; still identical."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
-            GOLDEN_SYSTEM,
-            traces,
-            mitigation_name=mechanism,
-            hcfirst=8,
-            fast_mode=fast_mode,
+            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, hcfirst=8
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.mitigation_refreshes > 0
 
-    def test_single_core_golden(self, fast_mode):
+    def test_single_core_golden(self):
         """Single-core (alone-IPC) runs take different fast paths; identical."""
         traces = build_traces(GOLDEN_SYSTEM)
         for trace in traces:
-            reference, fast = run_both(GOLDEN_SYSTEM, [trace], fast_mode=fast_mode)
+            reference, fast = run_both(GOLDEN_SYSTEM, [trace])
             assert_bit_identical(reference, fast)
 
-    def test_slow_cpu_golden(self, fast_mode):
+    def test_slow_cpu_golden(self):
         """A CPU clocked below the DRAM bus (ratio < 1) stays bit-identical.
 
         Some processed DRAM cycles then carry zero CPU ticks, so the tick
@@ -172,14 +139,12 @@ class TestGoldenTraces:
         )
         assert config.cpu_cycles_per_dram_cycle < 1
         traces = build_traces(config)
-        reference, fast = run_both(config, traces, fast_mode=fast_mode)
+        reference, fast = run_both(config, traces)
         assert_bit_identical(reference, fast)
-        reference, fast = run_both(
-            config, traces, mitigation_name="PARA", hcfirst=512, fast_mode=fast_mode
-        )
+        reference, fast = run_both(config, traces, mitigation_name="PARA", hcfirst=512)
         assert_bit_identical(reference, fast)
 
-    def test_attacker_trace_golden(self, fast_mode):
+    def test_attacker_trace_golden(self):
         """A RowHammer attacker plus a background core, with PARA active."""
         attacker = AggressorTraceGenerator(
             target_bank=1,
@@ -195,38 +160,25 @@ class TestGoldenTraces:
             seed=4,
         ).generate(800)
         reference, fast = run_both(
-            GOLDEN_SYSTEM,
-            [attacker, background],
-            mitigation_name="PARA",
-            hcfirst=512,
-            fast_mode=fast_mode,
+            GOLDEN_SYSTEM, [attacker, background], mitigation_name="PARA", hcfirst=512
         )
         assert_bit_identical(reference, fast)
 
-    def test_refresh_rate_scaling_golden(self, fast_mode):
+    def test_refresh_rate_scaling_golden(self):
         """IncreasedRefresh rescales tREFI; the horizon must track it."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
-            GOLDEN_SYSTEM,
-            traces,
-            mitigation_name="IncreasedRefresh",
-            hcfirst=40_000,
-            fast_mode=fast_mode,
+            GOLDEN_SYSTEM, traces, mitigation_name="IncreasedRefresh", hcfirst=40_000
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.refresh_commands > 0
 
-    def test_internal_bookkeeping_consistent_after_event_run(self, fast_mode):
+    def test_internal_bookkeeping_consistent_after_event_run(self):
         """The fast path's indexed structures must equal scan-derived truth."""
         traces = build_traces(GOLDEN_SYSTEM)
-        if fast_mode == "kernel":
-            batch = SimulationBatch(GOLDEN_SYSTEM, [traces], backend="kernel")
-            batch.run(GOLDEN_CYCLES)
-            controller = batch.controllers[0]
-        else:
-            simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode="event")
-            simulation.run(GOLDEN_CYCLES)
-            controller = simulation.controller
+        simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode="event")
+        simulation.run(GOLDEN_CYCLES)
+        controller = simulation.controller
         live_reads = controller.queued_reads()
         live_writes = controller.queued_writes()
         assert controller.read_len == len(live_reads)
@@ -285,9 +237,8 @@ class TestGoldenTraces:
 class TestGoldenTracesFullSystem:
     """Table 6 system over Figure 10 mixes -- the acceptance-criterion sweep."""
 
-    @pytest.mark.parametrize("fast_mode", FAST_MODES)
     @pytest.mark.parametrize("mechanism", [None] + available_mechanisms())
-    def test_full_system_golden(self, mechanism, fast_mode):
+    def test_full_system_golden(self, mechanism):
         config = SystemConfig(rows_per_bank=2048)
         mixes = make_workload_mixes(num_mixes=2, cores=config.cores, seed=1)
         hcfirst = 2_000 if mechanism in (None, "ProHIT", "MRLoc") else 50_000
@@ -305,6 +256,5 @@ class TestGoldenTracesFullSystem:
                 mitigation_name=mechanism,
                 hcfirst=hcfirst,
                 dram_cycles=12_000,
-                fast_mode=fast_mode,
             )
             assert_bit_identical(reference, fast)
