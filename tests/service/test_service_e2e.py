@@ -127,7 +127,11 @@ class TestServiceMatchesSerial:
 
     def test_selftest_many_workers_any_batch(self):
         """Worker count and batch size are invisible in the payloads."""
-        config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.05, seed=11)
+        # Idle workers poll again only after the scheduler's 0.5 s no-work
+        # retry, so one worker that polls first can drain the whole sweep
+        # before the others wake unless the sweep outlasts that interval:
+        # 9 units x 150 ms = 1.35 s of work for a single worker.
+        config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.15, seed=11)
         serial = ExperimentSession(executor=SerialExecutor(), seed=2).run(
             "service-selftest", config
         )
@@ -141,8 +145,8 @@ class TestServiceMatchesSerial:
                 status = probe.status()
         assert service.single() == serial.single()
         assert service.single().combined_digest == serial.single().combined_digest
-        # Units sleep 50ms each, so the sweep genuinely spread across the
-        # fleet: at least two of the three workers completed units.
+        # The sweep outlasts the idle retry, so it genuinely spread across
+        # the fleet: at least two of the three workers completed units.
         busy = [w for w in status["workers"].values() if w["units_completed"] >= 1]
         assert len(busy) >= 2
 

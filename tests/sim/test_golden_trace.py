@@ -8,6 +8,11 @@ reference scheduler makes its decisions by scanning the request queues and
 (per-bank pending/hit counters, flat bank mirrors, quiet-until cache) the
 fast path relies on, so these tests validate that machinery end to end.
 
+Every golden runs the fast path through both public entry points: a
+:class:`~repro.sim.system.Simulation` (``event``) and a
+:class:`~repro.sim.batch.SimulationBatch` (``batch``), the route the
+Figure 10 study takes for a baseline unit's alone-IPC group.
+
 The tier-1 tests here run each mitigation mechanism on a tiny fixed-seed
 workload; the ``slow`` marker covers the full Table 6 system over several
 Figure 10 mixes.
@@ -19,6 +24,7 @@ import pytest
 
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
+from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
@@ -35,6 +41,9 @@ GOLDEN_SYSTEM = SystemConfig(
 )
 
 GOLDEN_SEED = 7
+#: The entry points every golden runs the event-driven fast path through.
+FAST_MODES = ("event", "batch")
+fast_modes = pytest.mark.parametrize("fast_mode", FAST_MODES)
 #: Long enough to cross at least one tREFI boundary (periodic refresh).
 GOLDEN_CYCLES = 10_000
 
@@ -50,25 +59,58 @@ def build_traces(config, cores=None, requests_per_core=800, seed=GOLDEN_SEED):
     )
 
 
-def run_both(config, traces, mitigation_name=None, hcfirst=2_000, dram_cycles=GOLDEN_CYCLES):
-    """Run the same workload in both step modes and return both results."""
-    results = []
-    for step_mode in ("cycle", "event"):
-        mitigation = None
-        if mitigation_name is not None:
-            mitigation = build_mechanism(
-                mitigation_name,
-                MitigationConfig(
-                    hcfirst=hcfirst,
-                    banks=config.banks,
-                    rows_per_bank=config.rows_per_bank,
-                    timings=config.timings,
-                    seed=GOLDEN_SEED,
-                ),
-            )
-        simulation = Simulation(config, traces, mitigation=mitigation, step_mode=step_mode)
-        results.append(simulation.run(dram_cycles))
-    return results
+def build_mitigation(config, mitigation_name, hcfirst):
+    """A fresh mechanism instance (mechanisms carry per-run state)."""
+    if mitigation_name is None:
+        return None
+    return build_mechanism(
+        mitigation_name,
+        MitigationConfig(
+            hcfirst=hcfirst,
+            banks=config.banks,
+            rows_per_bank=config.rows_per_bank,
+            timings=config.timings,
+            seed=GOLDEN_SEED,
+        ),
+    )
+
+
+def run_fast(config, trace_sets, mitigation_name, hcfirst, dram_cycles, fast_mode):
+    """Run each trace set through the event-driven fast path."""
+    if fast_mode == "batch":
+        mitigations = [
+            build_mitigation(config, mitigation_name, hcfirst) for _ in trace_sets
+        ]
+        batch = SimulationBatch(config, trace_sets, mitigations=mitigations, step_mode="event")
+        return batch.run(dram_cycles)
+    return [
+        Simulation(
+            config,
+            traces,
+            mitigation=build_mitigation(config, mitigation_name, hcfirst),
+            step_mode="event",
+        ).run(dram_cycles)
+        for traces in trace_sets
+    ]
+
+
+def run_both(
+    config,
+    traces,
+    mitigation_name=None,
+    hcfirst=2_000,
+    dram_cycles=GOLDEN_CYCLES,
+    fast_mode="event",
+):
+    """Run the same workload through the cycle oracle and one fast path."""
+    reference = Simulation(
+        config,
+        traces,
+        mitigation=build_mitigation(config, mitigation_name, hcfirst),
+        step_mode="cycle",
+    ).run(dram_cycles)
+    [fast] = run_fast(config, [traces], mitigation_name, hcfirst, dram_cycles, fast_mode)
+    return reference, fast
 
 
 def assert_bit_identical(reference, fast):
@@ -87,41 +129,53 @@ def assert_bit_identical(reference, fast):
 
 
 class TestGoldenTraces:
-    def test_baseline_golden(self):
+    @fast_modes
+    def test_baseline_golden(self, fast_mode):
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(GOLDEN_SYSTEM, traces)
+        reference, fast = run_both(GOLDEN_SYSTEM, traces, fast_mode=fast_mode)
         assert_bit_identical(reference, fast)
         # The run must have exercised the memory system, not idled through it.
         assert reference.controller_stats.reads_serviced > 0
         assert reference.controller_stats.row_conflicts > 0
         assert reference.controller_stats.refresh_commands > 0
 
+    @fast_modes
     @pytest.mark.parametrize("mechanism", available_mechanisms())
-    def test_mechanism_golden(self, mechanism):
+    def test_mechanism_golden(self, mechanism, fast_mode):
         """Each mitigation mechanism is bit-identical across step modes."""
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(GOLDEN_SYSTEM, traces, mitigation_name=mechanism)
+        reference, fast = run_both(
+            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, fast_mode=fast_mode
+        )
         assert_bit_identical(reference, fast)
         assert reference.mitigation_name == fast.mitigation_name != "none"
 
+    @fast_modes
     @pytest.mark.parametrize("mechanism", ["PARA", "Ideal", "TWiCe-ideal"])
-    def test_mechanism_golden_vulnerable_chip(self, mechanism):
+    def test_mechanism_golden_vulnerable_chip(self, mechanism, fast_mode):
         """Low HC_first means constant victim-refresh traffic; still identical."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
-            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, hcfirst=8
+            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, hcfirst=8, fast_mode=fast_mode
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.mitigation_refreshes > 0
 
-    def test_single_core_golden(self):
-        """Single-core (alone-IPC) runs take different fast paths; identical."""
-        traces = build_traces(GOLDEN_SYSTEM)
-        for trace in traces:
-            reference, fast = run_both(GOLDEN_SYSTEM, [trace])
+    @fast_modes
+    def test_single_core_golden(self, fast_mode):
+        """Single-core (alone-IPC) runs take different fast paths; identical.
+
+        The whole group runs as one set of fast runs -- one batch in the
+        ``batch`` leg, as in a Figure 10 baseline unit."""
+        trace_sets = [[trace] for trace in build_traces(GOLDEN_SYSTEM)]
+        fast_results = run_fast(GOLDEN_SYSTEM, trace_sets, None, 0, GOLDEN_CYCLES, fast_mode)
+        assert len(fast_results) == len(trace_sets)
+        for traces, fast in zip(trace_sets, fast_results):
+            reference = Simulation(GOLDEN_SYSTEM, traces, step_mode="cycle").run(GOLDEN_CYCLES)
             assert_bit_identical(reference, fast)
 
-    def test_slow_cpu_golden(self):
+    @fast_modes
+    def test_slow_cpu_golden(self, fast_mode):
         """A CPU clocked below the DRAM bus (ratio < 1) stays bit-identical.
 
         Some processed DRAM cycles then carry zero CPU ticks, so the tick
@@ -139,12 +193,15 @@ class TestGoldenTraces:
         )
         assert config.cpu_cycles_per_dram_cycle < 1
         traces = build_traces(config)
-        reference, fast = run_both(config, traces)
+        reference, fast = run_both(config, traces, fast_mode=fast_mode)
         assert_bit_identical(reference, fast)
-        reference, fast = run_both(config, traces, mitigation_name="PARA", hcfirst=512)
+        reference, fast = run_both(
+            config, traces, mitigation_name="PARA", hcfirst=512, fast_mode=fast_mode
+        )
         assert_bit_identical(reference, fast)
 
-    def test_attacker_trace_golden(self):
+    @fast_modes
+    def test_attacker_trace_golden(self, fast_mode):
         """A RowHammer attacker plus a background core, with PARA active."""
         attacker = AggressorTraceGenerator(
             target_bank=1,
@@ -160,15 +217,24 @@ class TestGoldenTraces:
             seed=4,
         ).generate(800)
         reference, fast = run_both(
-            GOLDEN_SYSTEM, [attacker, background], mitigation_name="PARA", hcfirst=512
+            GOLDEN_SYSTEM,
+            [attacker, background],
+            mitigation_name="PARA",
+            hcfirst=512,
+            fast_mode=fast_mode,
         )
         assert_bit_identical(reference, fast)
 
-    def test_refresh_rate_scaling_golden(self):
+    @fast_modes
+    def test_refresh_rate_scaling_golden(self, fast_mode):
         """IncreasedRefresh rescales tREFI; the horizon must track it."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
-            GOLDEN_SYSTEM, traces, mitigation_name="IncreasedRefresh", hcfirst=40_000
+            GOLDEN_SYSTEM,
+            traces,
+            mitigation_name="IncreasedRefresh",
+            hcfirst=40_000,
+            fast_mode=fast_mode,
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.refresh_commands > 0
@@ -237,8 +303,9 @@ class TestGoldenTraces:
 class TestGoldenTracesFullSystem:
     """Table 6 system over Figure 10 mixes -- the acceptance-criterion sweep."""
 
+    @fast_modes
     @pytest.mark.parametrize("mechanism", [None] + available_mechanisms())
-    def test_full_system_golden(self, mechanism):
+    def test_full_system_golden(self, mechanism, fast_mode):
         config = SystemConfig(rows_per_bank=2048)
         mixes = make_workload_mixes(num_mixes=2, cores=config.cores, seed=1)
         hcfirst = 2_000 if mechanism in (None, "ProHIT", "MRLoc") else 50_000
@@ -256,5 +323,6 @@ class TestGoldenTracesFullSystem:
                 mitigation_name=mechanism,
                 hcfirst=hcfirst,
                 dram_cycles=12_000,
+                fast_mode=fast_mode,
             )
             assert_bit_identical(reference, fast)
