@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.study import WorkUnit, register_study
 from repro.mitigations.base import MitigationConfig
-from repro.mitigations.registry import build_mechanism, is_evaluable
+from repro.mitigations.registry import MECHANISM_FACTORIES, build_mechanism, is_evaluable
 from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import normalized_performance, weighted_speedup
@@ -156,8 +156,17 @@ class MitigationStudyConfig:
     def __post_init__(self) -> None:
         if not self.hcfirst_values or any(hc <= 0 for hc in self.hcfirst_values):
             raise ValueError("hcfirst_values must hold positive values")
+        if len(set(self.hcfirst_values)) != len(self.hcfirst_values):
+            raise ValueError(f"hcfirst_values repeats an entry: {self.hcfirst_values}")
         if not self.mechanisms:
             raise ValueError("at least one mechanism is required")
+        if len(set(self.mechanisms)) != len(self.mechanisms):
+            raise ValueError(f"mechanisms repeats an entry: {self.mechanisms}")
+        unknown = [name for name in self.mechanisms if name not in MECHANISM_FACTORIES]
+        if unknown:
+            raise ValueError(
+                f"unknown mechanisms {unknown}; available: {list(MECHANISM_FACTORIES)}"
+            )
         if self.num_mixes < 1:
             raise ValueError("num_mixes must be at least 1")
 

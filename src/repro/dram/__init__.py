@@ -1,10 +1,10 @@
 """Behavioural DRAM device substrate with a circuit-level RowHammer model.
 
 This package replaces the 1580 real DRAM chips characterized by the paper
-with a calibrated stochastic device model (see DESIGN.md section 2).  The
-observable interface of a :class:`~repro.dram.chip.DramChip` is the same set
-of operations the paper's testing infrastructure performs on real chips:
-write a row, activate (hammer) a row, refresh, and read a row back.
+with a calibrated stochastic device model.  The observable interface of a
+:class:`~repro.dram.chip.DramChip` is the same set of operations the
+paper's testing infrastructure performs on real chips: write a row,
+activate (hammer) a row, refresh, and read a row back.
 
 Columnar state layout
 ---------------------
@@ -26,9 +26,9 @@ what the hammer/refresh kernels operate on --
   row, so any access order yields the same values.
 
 One ``activate`` / ``hammer_pair`` disturbs every victim row of the blast
-radius in a single vectorized op, and
-:class:`~repro.dram.population.ChipPopulation` extends the same arrays
-with a leading chip axis to hammer a whole Table 1 population at once.
+radius in a single vectorized op.  A population
+(:func:`~repro.dram.population.make_population`) is a list of independent
+chips; the chip studies drive each one through its own Algorithm 1 run.
 
 The pre-refactor object-at-a-time API is preserved as thin views:
 ``write_row`` / ``read_row`` index single rows of the arrays, and the
@@ -61,7 +61,6 @@ from repro.dram.chip import DramChip, state_digest
 from repro.dram.reference import ReferenceDramChip
 from repro.dram.module import DramModule
 from repro.dram.population import (
-    ChipPopulation,
     make_chip,
     make_module,
     make_population,
@@ -88,7 +87,6 @@ __all__ = [
     "DramChip",
     "ReferenceDramChip",
     "state_digest",
-    "ChipPopulation",
     "DramModule",
     "make_chip",
     "make_module",

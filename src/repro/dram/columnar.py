@@ -17,9 +17,9 @@ row's thresholds into ``BankColumns.thresholds[row]`` lazily -- in whatever
 order rows happen to be touched -- produces bit-identical values to the
 old per-row dict cache.  The module-level ``sample_*_row`` helpers are the
 single source of truth for those draws; :class:`~repro.dram.chip.DramChip`
-and :class:`~repro.dram.population.ChipPopulation` both call them, which is
-what keeps the object-at-a-time view and the fused population arrays
-bit-identical by construction (and what the differential suite pins).
+and the :class:`~repro.dram.reference.ReferenceDramChip` oracle both call
+them, which keeps the columnar kernels and the dict-of-rows oracle
+bit-identical by construction (and is what the differential suite pins).
 
 Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 --------------------------------------------------------------------

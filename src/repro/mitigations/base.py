@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.timing import DDR4_2400, DramTimings
 
@@ -162,34 +162,6 @@ class MitigationMechanism(ABC):
         fires; may return (bank, row) victim rows to refresh and re-arm the
         timer through the retained port."""
         return []
-
-    def has_autonomous_timer_poll(self) -> bool:
-        """Whether the controller must keep polling the legacy
-        :meth:`next_event_cycle` hook on every horizon computation.
-
-        This is the compat shim for pre-port mechanisms: overriding
-        :meth:`next_event_cycle` is detected here, so such mechanisms keep
-        working unchanged, while the (much more common) mechanisms without
-        autonomous timers cost nothing on the horizon path.
-        """
-        return type(self).next_event_cycle is not MitigationMechanism.next_event_cycle
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Legacy polling hook: earliest future cycle at which the mechanism
-        acts *on its own*.
-
-        Superseded by the event-registration API (:meth:`register_events` /
-        :meth:`on_timer`), which new autonomous mechanisms should prefer --
-        a registered timer is dispatched by the controller in both step
-        modes, whereas this hook only guarantees the returned cycle is
-        *processed* and leaves the dispatch to the mechanism's other hooks.
-        Mechanisms that override it are still polled on every horizon
-        computation (see :meth:`has_autonomous_timer_poll`), with the same
-        contract as before: the event-driven loop will not fast-forward
-        past the returned cycle.  The default of ``None`` means "no
-        autonomous timer".
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -76,13 +76,10 @@ in **both** step modes and folds the timer into every event horizon, so the
 fast-forward can never jump over it.  Re-arm the (one-shot) timer from
 inside ``on_timer`` for periodic work.
 
-The legacy route -- overriding
-:meth:`~repro.mitigations.base.MitigationMechanism.next_event_cycle` -- is
-still honoured through a compat shim: such mechanisms are detected at
-attach time and polled on every horizon computation, with the old contract
-(the returned cycle is processed, dispatch is the mechanism's own
-responsibility).  New code should prefer the port API: it is cheaper (no
-per-tick poll) and the controller owns the dispatch.
+The port is the only way to schedule autonomous work.  The controller
+never polls a mechanism, so it raises ``TypeError`` at attach time for one
+that defines a ``next_event_cycle`` method; that mechanism's timer would
+otherwise be skipped without a word.
 
 A mechanism stays event-compatible by interacting with the simulation only
 through the hooks and the :class:`~repro.sim.controller.MitigationEventPort`

@@ -66,9 +66,11 @@ Mitigation timers
 A mechanism that schedules autonomous work registers a timer through the
 :class:`MitigationEventPort` handed to its ``register_events`` hook; the
 controller dispatches ``on_timer`` at the registered cycle in **both** step
-modes and folds the timer into every horizon.  Legacy mechanisms that
-override ``next_event_cycle`` instead are still polled (the compat shim);
-mechanisms that do neither cost nothing on the horizon path.
+modes and folds the timer into every horizon.  The port is the only timer
+route: the controller never polls a mechanism, so one that defines a
+``next_event_cycle`` method is refused with ``TypeError`` rather than
+having its timer skipped silently.  Mechanisms without a timer cost nothing
+on the horizon path.
 """
 
 from __future__ import annotations
@@ -263,22 +265,18 @@ class MemoryController:
         #: victim refresh the controller issues.
         self.activate_hook = None
         self.victim_refresh_hook = None
-        # Mitigation timer slot (the event-registration API) plus the compat
-        # shim: mechanisms that override the legacy ``next_event_cycle`` hook
-        # keep being polled on every horizon computation.
+        # Mitigation timer slot, armed through the event-registration API.
         self._mitigation_timer = _NEVER
-        self._poll_mitigation = False
         if mitigation is not None:
+            if hasattr(mitigation, "next_event_cycle"):
+                raise TypeError(
+                    f"{type(mitigation).__name__} defines next_event_cycle, "
+                    "which the controller never polls; schedule autonomous "
+                    "work with port.schedule_timer from register_events"
+                )
             register = getattr(mitigation, "register_events", None)
             if register is not None:
                 register(MitigationEventPort(self))
-            probe = getattr(mitigation, "has_autonomous_timer_poll", None)
-            if probe is not None:
-                self._poll_mitigation = bool(probe())
-            else:
-                # Unknown mechanism object: poll defensively if it has the
-                # legacy hook at all.
-                self._poll_mitigation = hasattr(mitigation, "next_event_cycle")
 
     def _sync_bank(self, bank_index: int) -> None:
         """Refresh the flat per-bank mirrors after a bank mutation."""
@@ -495,10 +493,6 @@ class MemoryController:
             horizon = self.earliest_completion_cycle
         if self._mitigation_timer < horizon:
             horizon = self._mitigation_timer
-        if self._poll_mitigation:
-            timer = self.mitigation.next_event_cycle(cycle)
-            if timer is not None and timer < horizon:
-                horizon = timer
         floor = cycle + 1
         horizon = horizon if horizon > floor else floor
         self._quiet_until = horizon
@@ -1100,11 +1094,8 @@ class MemoryController:
         * per-bank issue opportunities (bank timers, rank tRRD/tFAW, and
           data-bus occupancy, classified from the indexed bank buckets for
           every bank with queued demand or victim work), and
-        * any mitigation timer -- a registered autonomous timer
-          (:class:`MitigationEventPort`) or, for legacy mechanisms, the
-          polled
-          :meth:`repro.mitigations.base.MitigationMechanism.next_event_cycle`
-          hook.
+        * any mitigation timer registered through
+          :class:`MitigationEventPort`.
         """
         floor = cycle + 1
         horizon = self._next_refresh
@@ -1112,10 +1103,6 @@ class MemoryController:
             horizon = self.earliest_completion_cycle
         if self._mitigation_timer < horizon:
             horizon = self._mitigation_timer
-        if self._poll_mitigation:
-            timer = self.mitigation.next_event_cycle(cycle)
-            if timer is not None and timer < horizon:
-                horizon = timer
         if horizon <= floor:
             return floor
         issue = self._next_issue_cycle(floor)

@@ -10,15 +10,17 @@ level on top of the behavioural chip model:
 * :mod:`repro.softmc.temperature` -- the temperature-controlled chamber.
 * :mod:`repro.softmc.host` -- the host-side controller (refresh control,
   raw row access, bulk hammering).
-* :mod:`repro.softmc.routine` -- Algorithm 1 expressed as host commands.
 * :mod:`repro.softmc.reverse_engineer` -- discovery of the DRAM-internal
   row address remapping (Section 4.3).
+
+Algorithm 1 itself runs in
+:class:`~repro.core.characterization.RowHammerCharacterizer`, directly
+against the chip model.
 """
 
 from repro.softmc.commands import CommandKind, DramCommand, CommandTrace
 from repro.softmc.host import SoftMCHost, RefreshEnabledError
 from repro.softmc.temperature import TemperatureController
-from repro.softmc.routine import run_characterization_routine, RoutineConfig
 from repro.softmc.reverse_engineer import infer_row_mapping, MappingInference
 
 __all__ = [
@@ -28,8 +30,6 @@ __all__ = [
     "SoftMCHost",
     "RefreshEnabledError",
     "TemperatureController",
-    "run_characterization_routine",
-    "RoutineConfig",
     "infer_row_mapping",
     "MappingInference",
 ]

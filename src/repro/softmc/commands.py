@@ -1,10 +1,9 @@
 """DRAM command vocabulary and command traces.
 
 SoftMC exposes DRAM to the host as a stream of low-level commands.  The
-test routines in this package record the commands they issue so that tests
-and examples can assert properties of the generated command stream (for
-example, that the core hammer loop contains only activations and
-precharges, with refresh disabled).
+host in this package records every command it issues so that tests and
+examples can assert properties of the generated command stream (for
+example, that hammering only happens with refresh disabled).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Differential tests: columnar chip backends versus the reference oracle.
+"""Differential tests: the columnar chip versus the reference oracle.
 
-The columnar :class:`~repro.dram.chip.DramChip` (and the chip-major
-:class:`~repro.dram.population.ChipPopulation` built on the same samplers)
-promise *bit identity* with the retained object-at-a-time
+The columnar :class:`~repro.dram.chip.DramChip`, the chip every study
+runs, promises *bit identity* with the retained object-at-a-time
 :class:`~repro.dram.reference.ReferenceDramChip`.  This suite checks the
 promise two ways:
 
@@ -13,7 +12,7 @@ promise two ways:
 * deterministic *flip-inducing* sequences (worst-case stripe fill plus a
   far-above-threshold double-sided hammer against a low planted
   ``HC_first``) confirm the equivalence holds where it matters most: on
-  chips that actually flip bits, across ECC/remapper/coupling variants.
+  chips that actually flip bits, in every Table 1 configuration.
 
 Random soups alone rarely accumulate enough exposure to flip anything, so
 the hypothesis strategy biases hammer counts high and refreshes low, and
@@ -26,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dram.chip import DramChip, state_digest
 from repro.dram.geometry import ChipGeometry
-from repro.dram.population import ChipPopulation
 from repro.dram.reference import ReferenceDramChip
 from repro.dram.vulnerability import available_configurations, profile_for
 
@@ -37,16 +35,15 @@ GEOMETRY = ChipGeometry(banks=1, rows_per_bank=24, row_bytes=16)
 #: Low planted threshold so generated hammer counts can induce flips.
 HCFIRST_TARGET = 1_500
 
+#: Every Table 1 configuration, for the flip-inducing identity check.
+ALL_CONFIG_CASES = [
+    pytest.param(tn, mfr, id=f"{tn.value}-{mfr}") for tn, mfr in available_configurations()
+]
+
 #: A spread of Table 1 configurations covering ECC on/off and remappers.
-_ALL_CONFIGS = list(available_configurations())
 CONFIG_CASES = [
-    pytest.param(tn, mfr, id=f"{tn.value}-{mfr}")
-    for tn, mfr in (
-        _ALL_CONFIGS[0],
-        _ALL_CONFIGS[len(_ALL_CONFIGS) // 3],
-        _ALL_CONFIGS[(2 * len(_ALL_CONFIGS)) // 3],
-        _ALL_CONFIGS[-1],
-    )
+    ALL_CONFIG_CASES[index]
+    for index in (0, len(ALL_CONFIG_CASES) // 3, (2 * len(ALL_CONFIG_CASES)) // 3, -1)
 ]
 
 
@@ -125,7 +122,7 @@ class TestOperationSoups:
         assert_same_state(columnar, reference)
         assert columnar.is_pristine == reference.is_pristine
 
-    @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
+    @pytest.mark.parametrize("type_node,manufacturer", ALL_CONFIG_CASES)
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16), ops=st.lists(OPS, min_size=0, max_size=10))
     def test_soup_after_worst_case_hammer(self, type_node, manufacturer, seed, ops):
@@ -164,69 +161,3 @@ def _prepare_worst_case(chip):
                 break
     assert len(aggressors) == 2
     return bank, victim, aggressors, victim_fill
-
-
-# ----------------------------------------------------------------------
-# Population differential: ChipPopulation vs per-chip execution
-# ----------------------------------------------------------------------
-class TestPopulationDifferential:
-    @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
-    def test_population_matches_individual_chips(self, type_node, manufacturer):
-        profile = profile_for(type_node, manufacturer)
-        seeds = [101, 202, 303]
-        chips = [
-            DramChip(profile, geometry=GEOMETRY, seed=s, hcfirst_target=HCFIRST_TARGET)
-            for s in seeds
-        ]
-        population = ChipPopulation(chips)
-        singles = [
-            ReferenceDramChip(profile, geometry=GEOMETRY, seed=s, hcfirst_target=HCFIRST_TARGET)
-            for s in seeds
-        ]
-
-        # One shared sequence for every chip (the population contract):
-        # chip 0's worst-case stripe layout, broadcast to all.
-        bank, victim, aggressors, _fill = _prepare_worst_case(singles[0])
-        rows = list(range(GEOMETRY.rows_per_bank))
-        data = [int(np.packbits(singles[0].read_row_raw(bank, row))[0]) for row in rows]
-        for single in singles[1:]:
-            single.write_rows(bank, rows, data)
-        population.write_rows(bank, rows, data)
-
-        population.refresh_row(bank, victim)
-        pop_flips = population.hammer_pair(bank, aggressors[0], aggressors[-1], 40_000)
-        single_flips = []
-        for single in singles:
-            single.refresh_row(bank, victim)
-            single_flips.append(single.hammer_pair(bank, aggressors[0], aggressors[-1], 40_000))
-
-        assert list(pop_flips) == single_flips
-        assert sum(single_flips) > 0, "sequence must induce flips somewhere"
-        assert np.array_equal(population.flips_per_chip, np.array(single_flips))
-        for index, single in enumerate(singles):
-            for row in rows:
-                assert np.array_equal(
-                    population.read_row_raw(bank, row)[index],
-                    single.read_row_raw(bank, row),
-                )
-                assert np.array_equal(
-                    population.read_row(bank, row)[index], single.read_row(bank, row)
-                )
-            stats = population.chip_stats(index)
-            assert stats.bit_flips_induced == single.stats.bit_flips_induced
-            assert stats.activations == single.stats.activations
-            assert stats.row_writes == single.stats.row_writes
-
-    def test_population_rejects_mixed_or_dirty_chips(self):
-        profile_a = profile_for(*_ALL_CONFIGS[0])
-        profile_b = profile_for(*_ALL_CONFIGS[-1])
-        chip_a = DramChip(profile_a, geometry=GEOMETRY, seed=1)
-        chip_b = DramChip(profile_b, geometry=GEOMETRY, seed=2)
-        with pytest.raises(ValueError):
-            ChipPopulation([])
-        with pytest.raises(ValueError):
-            ChipPopulation([chip_a, chip_b])
-        dirty = DramChip(profile_a, geometry=GEOMETRY, seed=3)
-        dirty.write_row(0, 0, 0xAB)
-        with pytest.raises(ValueError):
-            ChipPopulation([chip_a, dirty])

@@ -139,3 +139,41 @@ class TestConfigDigest:
 
     def test_none_config_digests(self):
         assert config_digest(None) == config_digest(None)
+
+
+class TestConfigValidation:
+    """Bad study configs fail when built, not inside a unit or an executor."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            pytest.param({"mechanisms": ("PARA", "NoSuchMechanism")}, "unknown", id="unknown-mechanism"),
+            pytest.param({"mechanisms": ("PARA", "TWiCe", "PARA")}, "repeats", id="repeated-mechanism"),
+            pytest.param({"hcfirst_values": (2_000, 4_000, 2_000)}, "repeats", id="repeated-hcfirst"),
+        ],
+    )
+    def test_mitigation_study_config_rejects(self, kwargs, match):
+        from repro.analysis.mitigation_study import MitigationStudyConfig
+
+        with pytest.raises(ValueError, match=match):
+            MitigationStudyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "hammer_counts",
+        [
+            pytest.param((50_000, 50_000), id="adjacent"),
+            pytest.param((10_000, 50_000, 10_000), id="separated"),
+        ],
+    )
+    def test_characterization_config_rejects_repeated_hammer_count(self, hammer_counts):
+        from repro.core.characterization import CharacterizationConfig
+
+        with pytest.raises(ValueError, match="repeat"):
+            CharacterizationConfig(hammer_counts=hammer_counts)
+
+    def test_every_registered_mechanism_is_accepted(self):
+        from repro.analysis.mitigation_study import MitigationStudyConfig
+        from repro.mitigations.registry import available_mechanisms
+
+        config = MitigationStudyConfig(mechanisms=tuple(available_mechanisms()))
+        assert get_study("fig10-mitigations").units_for(config)

@@ -199,8 +199,8 @@ class TestMitigationTimerHook:
             def on_activate(self, bank, row, cycle):
                 return []
 
-            def next_event_cycle(self, cycle):
-                return cycle + 17
+            def register_events(self, port):
+                port.schedule_timer(17)
 
         mechanism = TimerMechanism(
             MitigationConfig(hcfirst=1_000, banks=system.banks, rows_per_bank=system.rows_per_bank)
@@ -221,4 +221,5 @@ class TestMitigationTimerHook:
                     hcfirst=50_000, banks=system.banks, rows_per_bank=system.rows_per_bank
                 ),
             )
-            assert mechanism.next_event_cycle(123) is None
+            controller = MemoryController(system, mitigation=mechanism)
+            assert controller._mitigation_timer == NEVER

@@ -10,8 +10,8 @@ Three layers:
   scan-based reference scheduler, on randomized request soups.
 * The mitigation timer event-registration API
   (:meth:`~repro.mitigations.base.MitigationMechanism.register_events` /
-  ``on_timer``), including bit-identity across step modes and the legacy
-  ``next_event_cycle`` compat shim.
+  ``on_timer``), including bit-identity across step modes and the refusal
+  of mechanisms that still define the retired ``next_event_cycle`` hook.
 """
 
 import dataclasses
@@ -368,16 +368,7 @@ class TestMitigationTimerRegistration:
         assert mechanism._port.timer_cycle == NEVER
         assert controller.next_event_cycle(0) == config.timings.trefi
 
-    def test_port_exempts_mechanism_from_legacy_polling(self):
-        config = SystemConfig(
-            cores=1, banks=4, rows_per_bank=64, read_queue_depth=8, write_queue_depth=8
-        )
-        mechanism = self._mechanism(config)
-        assert not mechanism.has_autonomous_timer_poll()
-        controller = MemoryController(config, mitigation=mechanism)
-        assert not controller._poll_mitigation
-
-    def test_legacy_next_event_cycle_override_still_polled(self):
+    def test_legacy_next_event_cycle_hook_is_refused(self):
         class LegacyTimer(MitigationMechanism):
             name = "legacy-timer"
 
@@ -398,7 +389,5 @@ class TestMitigationTimerRegistration:
                 timings=config.timings,
             )
         )
-        assert mechanism.has_autonomous_timer_poll()
-        controller = MemoryController(config, mitigation=mechanism)
-        assert controller._poll_mitigation
-        assert controller.next_event_cycle(0) == 17
+        with pytest.raises(TypeError, match="register_events"):
+            MemoryController(config, mitigation=mechanism)

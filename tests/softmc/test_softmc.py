@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.data_patterns import CHECKERED0, ROWSTRIPE0
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
 from repro.softmc.commands import CommandKind, CommandTrace, DramCommand
 from repro.softmc.host import RefreshEnabledError, SoftMCHost
 from repro.softmc.reverse_engineer import infer_row_mapping
-from repro.softmc.routine import RoutineConfig, run_characterization_routine
 from repro.softmc.temperature import TemperatureController
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
@@ -87,32 +85,6 @@ class TestHost:
         host = self._host()
         host.set_temperature(50.0)
         assert any(c.kind is CommandKind.SET_TEMPERATURE for c in host.trace)
-
-
-class TestRoutine:
-    def test_routine_observes_flips_on_vulnerable_chip(self):
-        chip = make_chip("DDR4-new", "A", seed=3, geometry=GEOMETRY, hcfirst_target=20_000)
-        host = SoftMCHost(chip)
-        victim = chip.weakest_cell[1]
-        config = RoutineConfig(
-            data_patterns=(ROWSTRIPE0,),
-            hammer_counts=(150_000,),
-            victim_rows=(victim,),
-        )
-        result = run_characterization_routine(host, config)
-        assert result.total_flips() > 0
-
-    def test_routine_core_loop_has_refresh_disabled(self):
-        chip = make_chip("DDR4-new", "A", seed=4, geometry=GEOMETRY, hcfirst_target=60_000)
-        host = SoftMCHost(chip)
-        config = RoutineConfig(
-            data_patterns=(CHECKERED0,), hammer_counts=(10_000,), victim_rows=(20, 21)
-        )
-        run_characterization_routine(host, config)
-        kinds = [command.kind for command in host.trace]
-        assert CommandKind.REFRESH_DISABLE in kinds
-        assert CommandKind.REFRESH_ENABLE in kinds
-        assert kinds.count(CommandKind.REFRESH_DISABLE) == kinds.count(CommandKind.REFRESH_ENABLE)
 
 
 class TestReverseEngineering:
