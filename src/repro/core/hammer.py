@@ -5,23 +5,33 @@ victim row: prepare the data pattern in the victim's neighbourhood, disable
 refresh, refresh the victim so that observed flips cannot be retention
 failures, hammer the two physically adjacent aggressor rows, and read the
 neighbourhood back to record bit flips.
+
+Flip records are tuple-backed (:class:`BitFlip` is a ``NamedTuple``) and the
+read-back diff builds them column by column: one ``np.nonzero`` over the
+unpacked XOR of read-back and written bytes, one ``tolist`` per field, then
+one C-level pass that packs the columns into records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.data_patterns import DataPattern, ROWSTRIPE0, worst_case_pattern
+from repro.core.data_patterns import DataPattern, worst_case_pattern
 from repro.dram.chip import DramChip
 
 
-@dataclass(frozen=True)
-class BitFlip:
+class BitFlip(NamedTuple):
     """One observed RowHammer bit flip.
+
+    A flip is a tuple of six plain ``int`` fields, so it compares equal to
+    (and hashes like) the plain 6-tuple of the same values, sorts
+    field by field, and pickles compactly.
 
     Attributes
     ----------
@@ -51,6 +61,11 @@ class BitFlip:
     def cell(self) -> Tuple[int, int, int]:
         """Hashable identity of the flipped cell: (bank, row, bit index)."""
         return (self.bank, self.row, self.bit_index)
+
+
+# Packs one zipped (bank, row, bit, offset, expected, observed) tuple into a
+# BitFlip without the Python-level ``__new__`` a NamedTuple call goes through.
+_pack_flip = partial(tuple.__new__, BitFlip)
 
 
 @dataclass
@@ -104,84 +119,76 @@ class DoubleSidedHammer:
     # ------------------------------------------------------------------
     def aggressor_rows(self, victim_row: int) -> List[int]:
         """Logical aggressor rows for a worst-case double-sided hammer."""
-        rows = [
-            row
-            for row in self.chip.remapper.aggressors_for(victim_row)
-            if 0 <= row < self.chip.geometry.rows_per_bank
-        ]
-        return rows
+        rows_per_bank = self.chip.geometry.rows_per_bank
+        aggressors = self.chip.remapper.aggressors_for(victim_row)
+        return [row for row in aggressors if 0 <= row < rows_per_bank]
+
+    def _radius(self) -> int:
+        """Rows observed on each side of a victim."""
+        radius = self.chip.profile.blast_radius + self.neighbourhood_margin
+        return 2 * radius if self.chip.remapper.name == "paired" else radius
 
     def neighbourhood(self, victim_row: int) -> List[int]:
         """Logical rows observed around the victim (victim included)."""
-        radius = self.chip.profile.blast_radius + self.neighbourhood_margin
-        if self.chip.remapper.name == "paired":
-            radius *= 2
+        radius = self._radius()
         low = max(0, victim_row - radius)
         high = min(self.chip.geometry.rows_per_bank - 1, victim_row + radius)
         return list(range(low, high + 1))
 
     def testable_victims(self, bank: int = 0) -> List[int]:
         """Victim rows whose full double-sided neighbourhood is in range."""
-        radius = self.chip.profile.blast_radius + self.neighbourhood_margin
-        if self.chip.remapper.name == "paired":
-            radius *= 2
+        radius = self._radius()
         return list(range(radius, self.chip.geometry.rows_per_bank - radius))
 
     # ------------------------------------------------------------------
     # Pattern preparation and observation
     # ------------------------------------------------------------------
+    def _pattern_bytes(self, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
+        """The byte each neighbourhood row holds under the data pattern.
+
+        Rows whose physical wordline shares the victim wordline's parity hold
+        the victim byte, others the aggressor byte (Section 4.3, footnote 3).
+        """
+        to_physical = self.chip.remapper.logical_to_physical
+        parity = to_physical(victim_row) % 2
+        return {
+            row: pattern.victim_byte if to_physical(row) % 2 == parity else pattern.aggressor_byte
+            for row in self.neighbourhood(victim_row)
+        }
+
     def write_pattern(self, bank: int, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
         """Write the data pattern into the victim's neighbourhood.
 
-        Rows whose physical wordline shares the victim wordline's parity are
-        written with the victim byte, others with the aggressor byte
-        (Section 4.3, footnote 3).  Returns the byte written to each row so
-        the read-back can compute expected data.
+        Returns the byte written to each row so the read-back can compute
+        expected data.
         """
-        remapper = self.chip.remapper
-        victim_wordline = remapper.logical_to_physical(victim_row)
-        written: Dict[int, int] = {}
-        for row in self.neighbourhood(victim_row):
-            wordline = remapper.logical_to_physical(row)
-            same_parity = (wordline - victim_wordline) % 2 == 0
-            written[row] = pattern.victim_byte if same_parity else pattern.aggressor_byte
+        written = self._pattern_bytes(victim_row, pattern)
         self.chip.write_rows(bank, list(written), list(written.values()))
         return written
 
-    def observe_flips(
-        self, bank: int, victim_row: int, written: Dict[int, int]
-    ) -> List[BitFlip]:
+    def observe_flips(self, bank: int, victim_row: int, written: Dict[int, int]) -> List[BitFlip]:
         """Read back the neighbourhood and diff against the written pattern.
 
         The whole neighbourhood is read in one batched (ECC-decoded) call
         and diffed as a matrix; flips are emitted in (row, ascending bit)
-        order, exactly as the row-at-a-time walk produced them.
+        order.
         """
-        rows = list(written)
-        if not rows:
-            return []
-        expected = np.unpackbits(
-            np.repeat(
-                np.array([written[row] for row in rows], dtype=np.uint8),
-                self.chip.geometry.row_bytes,
-            ).reshape(len(rows), self.chip.geometry.row_bytes),
-            axis=1,
-        )
-        observed = np.unpackbits(self.chip.read_rows(bank, rows), axis=1)
-        flips: List[BitFlip] = []
-        for row_index, bit_index in np.argwhere(expected != observed):
-            row = rows[row_index]
-            flips.append(
-                BitFlip(
-                    bank=bank,
-                    row=row,
-                    bit_index=int(bit_index),
-                    offset_from_victim=row - victim_row,
-                    expected_bit=int(expected[row_index, bit_index]),
-                    observed_bit=int(observed[row_index, bit_index]),
-                )
-            )
-        return flips
+        return self._diff_neighbourhood(bank, victim_row, written)[0]
+
+    def _diff_neighbourhood(
+        self, bank: int, victim_row: int, written: Dict[int, int]
+    ) -> Tuple[List[BitFlip], List[int]]:
+        """The flips of :meth:`observe_flips` and the sorted rows they hit."""
+        rows = np.fromiter(written, dtype=np.int64, count=len(written))
+        written_bytes = np.fromiter(written.values(), dtype=np.uint8, count=len(written))
+        diff = self.chip.read_rows(bank, list(written)) ^ written_bytes[:, None]
+        # nonzero of a C-contiguous 2-D matrix is row-major: (row, ascending bit).
+        row_index, bit_index = np.nonzero(np.unpackbits(diff, axis=1))
+        flipped = rows[row_index]
+        expected = (written_bytes[row_index] >> (7 - (bit_index & 7))) & 1
+        columns = (flipped, bit_index, flipped - victim_row, expected, expected ^ 1)
+        flips = list(map(_pack_flip, zip(repeat(bank), *(c.tolist() for c in columns))))
+        return flips, sorted(rows[diff.any(axis=1)].tolist())
 
     # ------------------------------------------------------------------
     # Hammer execution
@@ -222,10 +229,7 @@ class DoubleSidedHammer:
         if prepare:
             written = self.write_pattern(bank, victim_row, data_pattern)
         else:
-            written = {
-                row: self._expected_byte(victim_row, row, data_pattern)
-                for row in self.neighbourhood(victim_row)
-            }
+            written = self._pattern_bytes(victim_row, data_pattern)
 
         aggressors = self.aggressor_rows(victim_row)
         # Algorithm 1 line 10: refresh the victim so flips are not retention
@@ -238,7 +242,7 @@ class DoubleSidedHammer:
         elif len(aggressors) == 1:
             self.chip.activate(bank, aggressors[0], hammer_count)
 
-        flips = self.observe_flips(bank, victim_row, written)
+        flips, flipped_rows = self._diff_neighbourhood(bank, victim_row, written)
         result = HammerResult(
             bank=bank,
             victim_row=victim_row,
@@ -247,8 +251,8 @@ class DoubleSidedHammer:
             data_pattern=data_pattern,
             flips=flips,
         )
-        if restore and flips:
-            flipped_rows = sorted({flip.row for flip in flips})
+        if restore and flipped_rows:
+            # Algorithm 1 line 16: rewrite every row the diff found flipped.
             self.chip.write_rows(bank, flipped_rows, [written[row] for row in flipped_rows])
         return result
 
@@ -280,10 +284,3 @@ class DoubleSidedHammer:
             data_pattern=data_pattern,
             flips=flips,
         )
-
-    def _expected_byte(self, victim_row: int, row: int, pattern: DataPattern) -> int:
-        remapper = self.chip.remapper
-        victim_wordline = remapper.logical_to_physical(victim_row)
-        wordline = remapper.logical_to_physical(row)
-        same_parity = (wordline - victim_wordline) % 2 == 0
-        return pattern.victim_byte if same_parity else pattern.aggressor_byte

@@ -1,10 +1,22 @@
 """Tests for the double-sided hammer driver."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.core.data_patterns import ROWSTRIPE0, worst_case_pattern
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
+from repro.dram.geometry import ChipGeometry
+from repro.dram.population import make_chip
+from repro.dram.vulnerability import available_configurations
+
+CONFIGURATIONS = [
+    pytest.param(tn, mfr, id=f"{tn.value}-{mfr}") for tn, mfr in available_configurations()
+]
+FIELDS = ("bank", "row", "bit_index", "offset_from_victim", "expected_bit", "observed_bit")
 
 
 class TestNeighbourhood:
@@ -107,3 +119,100 @@ class TestHammerResult:
         assert counts[(0, 5, 0)] == 2
         assert counts[(0, 5, 1)] == 1
         assert result.num_bit_flips == 3
+
+
+class TestBitFlipRecord:
+    def test_repr_matches_the_dataclass_format(self):
+        # Pinned payload digests hash this exact text.
+        assert repr(BitFlip(0, 5, 3, -1, 0, 1)) == (
+            "BitFlip(bank=0, row=5, bit_index=3, offset_from_victim=-1, "
+            "expected_bit=0, observed_bit=1)"
+        )
+
+    def test_is_a_plain_six_tuple(self):
+        flip = BitFlip(0, 5, 70, 0, 1, 0)
+        assert BitFlip._fields == FIELDS
+        assert flip == (0, 5, 70, 0, 1, 0)
+        assert hash(flip) == hash((0, 5, 70, 0, 1, 0))
+        assert flip.cell == (0, 5, 70)
+        assert flip.word64_index == 1
+        assert pickle.loads(pickle.dumps(flip)) == flip
+
+
+def reference_flips(chip, bank, victim_row, written):
+    """Per-bit walk of the read-back diff: (row, ascending bit) order."""
+    observed = chip.read_rows(bank, list(written))
+    flips = []
+    for row, row_bytes in zip(written, observed):
+        for byte_index, observed_byte in enumerate(row_bytes.tolist()):
+            for bit in range(8):
+                expected_bit = (written[row] >> (7 - bit)) & 1
+                observed_bit = (observed_byte >> (7 - bit)) & 1
+                if expected_bit != observed_bit:
+                    flips.append(
+                        (bank, row, byte_index * 8 + bit, row - victim_row,
+                         expected_bit, observed_bit)
+                    )
+    return flips
+
+
+class TestObserveFlipsDifferential:
+    """The column-by-column diff equals a per-bit reference walk."""
+
+    GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
+
+    def draw_case(self, data, type_node, manufacturer):
+        """A fresh chip of the configuration, a victim row and a hammer count."""
+        seed = data.draw(st.integers(0, 3), label="seed")
+        chip = make_chip(type_node, manufacturer, seed=seed, geometry=self.GEOMETRY)
+        victims = DoubleSidedHammer(chip).testable_victims()
+        _bank, weakest_row, _bit = chip.weakest_cell
+        if weakest_row in victims:
+            victims.append(weakest_row)  # weight the draw towards flips
+        victim = data.draw(st.sampled_from(victims), label="victim")
+        scale = data.draw(st.sampled_from([0.5, 1.0, 1.5, 3.0, 10.0]), label="scale")
+        hammer_count = max(1, int(chip.hcfirst_target * scale))
+        return chip, victim, hammer_count
+
+    @pytest.mark.parametrize("type_node,manufacturer", CONFIGURATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_flips_equal_per_bit_reference(self, type_node, manufacturer, data):
+        chip, victim, hammer_count = self.draw_case(data, type_node, manufacturer)
+        hammer = DoubleSidedHammer(chip)
+        written = hammer.write_pattern(0, victim, worst_case_pattern(chip.profile))
+        result = hammer.hammer_victim(0, victim, hammer_count, prepare=False, restore=False)
+        event("flips observed" if result.flips else "no flips")
+        assert result.flips == reference_flips(chip, 0, victim, written)
+        assert hammer.observe_flips(0, victim, written) == result.flips
+        for flip in result.flips:
+            assert type(flip) is BitFlip
+            assert all(type(value) is int for value in flip)
+            assert repr(flip) == "BitFlip(" + ", ".join(
+                f"{name}={value}" for name, value in zip(FIELDS, flip)
+            ) + ")"
+
+    @pytest.mark.parametrize("type_node,manufacturer", CONFIGURATIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_restore_rewrites_exactly_the_flipped_rows(self, type_node, manufacturer, data):
+        chip, victim, hammer_count = self.draw_case(data, type_node, manufacturer)
+        hammer = DoubleSidedHammer(chip)
+        written = hammer.write_pattern(0, victim, worst_case_pattern(chip.profile))
+        writes = []
+        original_write_rows = chip.write_rows
+
+        def recording_write_rows(bank, rows, values):
+            writes.append(list(rows))
+            return original_write_rows(bank, rows, values)
+
+        chip.write_rows = recording_write_rows
+        result = hammer.hammer_victim(0, victim, hammer_count, prepare=False, restore=True)
+        flipped_rows = sorted({flip.row for flip in result.flips})
+        event("flips observed" if flipped_rows else "no flips")
+        assert writes == ([flipped_rows] if flipped_rows else [])
+        rows = list(written)
+        expected = np.repeat(
+            np.array([written[row] for row in rows], dtype=np.uint8), self.GEOMETRY.row_bytes
+        ).reshape(len(rows), -1)
+        assert np.array_equal(chip.read_rows(0, rows), expected)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.executors import StudyTask
 from repro.experiments.study import WorkUnit
-from repro.service import protocol
+from repro.service import SchedulerThread, protocol
 
 
 class TestFraming:
@@ -47,6 +47,30 @@ class TestFraming:
             protocol.check_hello(dict(good, protocol=99), ("worker",))
         with pytest.raises(protocol.ProtocolError):
             protocol.check_hello(good, ("client",))
+
+
+class TestHelloGate:
+    """Peers on the version-1 protocol pickled ``BitFlip`` as a dataclass;
+    loading their outcome blobs would yield field-less records, so their
+    hello must be refused."""
+
+    def test_version_1_hello_is_refused(self):
+        assert protocol.PROTOCOL_VERSION == 2
+        stale = dict(protocol.hello("worker", "old"), protocol=1)
+        with pytest.raises(protocol.ProtocolError, match="peer speaks 1"):
+            protocol.check_hello(stale, ("worker",))
+
+    def test_scheduler_answers_version_1_hello_with_error_and_closes(self):
+        with SchedulerThread(lease_ttl=30.0) as scheduler:
+            stream = protocol.connect_stream(*scheduler.address)
+            try:
+                stream.send(dict(protocol.hello("client", "old"), protocol=1))
+                reply = stream.recv()
+                assert reply["type"] == "error"
+                assert "protocol mismatch" in reply["error"]
+                assert stream.recv() is None
+            finally:
+                stream.close()
 
 
 class TestMessageStream:
