@@ -13,27 +13,30 @@ Run with::
     python examples/mitigation_comparison.py
 """
 
-from repro.analysis.mitigation_study import run_mitigation_study
+from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.analysis.report import format_table
+from repro.experiments import ExperimentSession
 from repro.sim.config import SystemConfig
 from repro.sim.workloads import make_workload_mixes
 
 
 def main() -> None:
-    config = SystemConfig(rows_per_bank=4096)
-    mixes = make_workload_mixes(num_mixes=2, cores=config.cores, seed=1)
-    print(f"workload mixes: {[mix.name for mix in mixes]}")
-    print(f"aggregate MPKI: {[round(mix.aggregate_mpki) for mix in mixes]}\n")
-
-    study = run_mitigation_study(
-        system_config=config,
-        workload_mixes=mixes,
+    config = MitigationStudyConfig(
         hcfirst_values=(50_000, 6_400, 2_000, 512, 128),
         mechanisms=("IncreasedRefresh", "PARA", "ProHIT", "MRLoc", "TWiCe-ideal", "Ideal"),
+        num_mixes=2,
         dram_cycles=10_000,
         requests_per_core=2_000,
         seed=2,
     )
+    # The study draws its mixes from its own seed; these are the same mixes.
+    mixes = make_workload_mixes(
+        num_mixes=config.num_mixes, cores=SystemConfig().cores, seed=config.seed
+    )
+    print(f"workload mixes: {[mix.name for mix in mixes]}")
+    print(f"aggregate MPKI: {[round(mix.aggregate_mpki) for mix in mixes]}\n")
+
+    study = ExperimentSession().run("fig10-mitigations", config).single()
 
     rows = []
     for point in sorted(study.points, key=lambda p: (p.mechanism, -p.hcfirst)):

@@ -102,21 +102,15 @@ def merge_flip_sweep(config, payloads):
     return dict(payloads)
 
 
-@register_study(
+# A decomposed study is its units: no whole-study function is registered.
+register_study(
     "demo-flip-sweep",
     config=FlipSweepConfig,
+    description="Victim-row flips at each hammer count, one unit per count",
     decompose=decompose_flip_sweep,
     unit_runner=run_flip_sweep_unit,
     merge=merge_flip_sweep,
 )
-def run_flip_sweep(chip, config):
-    """Monolithic reference: the same sweep in one loop."""
-    return {
-        hammer_count: DoubleSidedHammer(chip)
-        .hammer_victim(bank=0, victim_row=config.victim_row, hammer_count=hammer_count)
-        .num_bit_flips
-        for hammer_count in config.hammer_counts
-    }
 
 
 def main() -> None:

@@ -2,7 +2,8 @@
 
 * :mod:`repro.analysis.tables` -- Tables 1-5 builders.
 * :mod:`repro.analysis.figures` -- Figures 4-9 series builders.
-* :mod:`repro.analysis.mitigation_study` -- the Figure 10 evaluation harness.
+* :mod:`repro.analysis.mitigation_study` -- the Figure 10 evaluation, the
+  registered ``fig10-mitigations`` study.
 * :mod:`repro.analysis.report` -- plain-text rendering of tables and series.
 """
 
@@ -25,7 +26,6 @@ from repro.analysis.mitigation_study import (
     MitigationStudyConfig,
     MitigationStudyPoint,
     MitigationStudyResult,
-    run_mitigation_study,
 )
 from repro.analysis.report import format_table, render_series
 
@@ -44,7 +44,6 @@ __all__ = [
     "MitigationStudyConfig",
     "MitigationStudyPoint",
     "MitigationStudyResult",
-    "run_mitigation_study",
     "format_table",
     "render_series",
 ]

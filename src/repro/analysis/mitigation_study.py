@@ -16,24 +16,26 @@ Every simulation runs through :class:`~repro.sim.system.Simulation` in the
 config's step mode.  A baseline unit's alone-IPC group (one single-core run
 per core of the mix) is one :class:`~repro.sim.batch.SimulationBatch` call.
 
-Sharded execution
------------------
-The registered studies declare a work-unit decomposition (see
+Work units
+----------
+The registered studies are work-unit decompositions (see
 :mod:`repro.experiments.study`): one *baseline* unit per workload mix (the
 no-mitigation run plus the per-core alone-IPC runs) and one *cell* unit per
 evaluable (mechanism, HC_first, mix) grid point.  Every unit rebuilds its
 mix's traces deterministically from the config, simulates independently,
-and returns raw IPCs/overheads; the merge recomputes the exact floating
-point operations of :func:`run_mitigation_study` in the same order, so the
-sharded payload is bit-identical to the monolithic one while sessions gain
-per-cell caching, crash resume and process-pool sharding of the grid.
+and returns raw IPCs/overheads; the merge computes every point's
+statistics from them.  A direct
+``get_study("fig10-mitigations").run(None, config)`` runs the units
+serially and merges them, so it returns exactly a session's payload, which
+is the same for every executor and cache state.  The oracle is the
+``step_mode="cycle"`` simulator: both step modes give identical payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.study import WorkUnit, register_study
 from repro.mitigations.base import MitigationConfig
@@ -41,8 +43,8 @@ from repro.mitigations.registry import MECHANISM_FACTORIES, build_mechanism, is_
 from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import normalized_performance, weighted_speedup
-from repro.sim.system import Simulation
-from repro.sim.workloads import WorkloadMix, make_workload_mixes
+from repro.sim.system import STEP_MODES, Simulation
+from repro.sim.workloads import make_workload_mixes
 
 #: Default HC_first sweep of Figure 10 (200k down to 64).
 DEFAULT_HCFIRST_SWEEP: Tuple[int, ...] = (
@@ -134,10 +136,31 @@ class MitigationStudyResult:
 class MitigationStudyConfig:
     """Parameters of the registered Figure 10 mitigation study.
 
-    A hashable mirror of :func:`run_mitigation_study`'s arguments: the
-    simulated system and workload mixes are described by value
-    (``rows_per_bank``, ``num_mixes``) rather than passed as objects so the
-    config can key the result cache.
+    The simulated system is Table 6's 8-core system with ``rows_per_bank``
+    rows per bank; it and the ``num_mixes`` seeded workload mixes are
+    described by value rather than passed as objects, so the config can key
+    the result cache.
+
+    Attributes
+    ----------
+    hcfirst_values, mechanisms:
+        The sweep axes of Figure 10.
+    num_mixes:
+        Multi-programmed mixes to evaluate.  The paper uses 48 (see
+        :class:`FullMitigationStudyConfig`); the default is sized for a
+        quick run.
+    dram_cycles, requests_per_core:
+        Length of each simulation and of each core's trace.
+    respect_design_constraints:
+        When true (the default, matching the paper), mechanisms are skipped
+        at HC_first values where their published design does not apply.
+    time_scale:
+        Optional threshold scaling for counter-based mechanisms, within
+        (0, 1] (see :class:`repro.mitigations.base.MitigationConfig`).  The
+        default of 1.0 models the mechanisms faithfully; values below 1.0
+        compress the refresh window into the simulated interval, which
+        over-approximates the overhead of counter-based mechanisms on short
+        runs.
     """
 
     hcfirst_values: Tuple[int, ...] = DEFAULT_HCFIRST_SWEEP
@@ -169,6 +192,15 @@ class MitigationStudyConfig:
             )
         if self.num_mixes < 1:
             raise ValueError("num_mixes must be at least 1")
+        for name in ("rows_per_bank", "dram_cycles", "requests_per_core"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.time_scale <= 1.0:
+            raise ValueError("time_scale must be within (0, 1]")
+        if self.step_mode not in STEP_MODES:
+            raise ValueError(
+                f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,8 +231,8 @@ class MitigationBaselineUnit:
     """Payload of one baseline work unit: the no-mitigation run of one mix.
 
     Carries the raw per-core IPCs of the shared baseline run and the
-    alone-run IPC of every core, from which the merge recomputes the mix's
-    baseline weighted speedup exactly as the monolithic sweep does.
+    alone-run IPC of every core, from which the merge computes the mix's
+    baseline weighted speedup.
     """
 
     mix: int
@@ -227,7 +259,7 @@ def _cached_mix_traces(
 
     Every work unit of one mix needs the same deterministic traces; caching
     them per process means a worker draining several units of a mix pays
-    for trace synthesis once, like the monolithic sweep does.  Traces are
+    for trace synthesis once.  Traces are
     safe to share between simulations: ``Simulation`` copies the per-core
     record lists it consumes and the records themselves are immutable.
     """
@@ -368,10 +400,10 @@ def _merge_mitigation_units(
 ) -> "MitigationStudyResult":
     """Reassemble the Figure 10 payload from unit payloads.
 
-    Walks the config axes in the monolithic sweep's loop order and repeats
-    its floating-point operations exactly (same values, same order), so the
-    merged result is bit-identical to :func:`run_mitigation_study` no matter
-    which executor ran the units or in which order they completed.
+    Walks the config axes (mechanism-major, then HC_first, then mix) and
+    reduces each point's per-mix values in mix order, so the merged result
+    is bit-identical no matter which executor ran the units or in which
+    order they completed.
     """
     baselines: Dict[int, MitigationBaselineUnit] = {}
     cells: Dict[Tuple[str, int, int], MitigationCellUnit] = {}
@@ -415,173 +447,21 @@ def _merge_mitigation_units(
     return study
 
 
-@register_study(
+register_study(
     "fig10-mitigations",
     config=MitigationStudyConfig,
     requires_chip=False,
+    description="Mitigation overhead versus HC_first (Figure 10), population-level.",
     decompose=_fig10_decompose("fig10-mitigations"),
     unit_runner=_run_mitigation_unit,
     merge=_merge_mitigation_units,
 )
-def run_mitigation_study_for_config(
-    _chip: None, config: MitigationStudyConfig
-) -> "MitigationStudyResult":
-    """Mitigation overhead versus HC_first (Figure 10), population-level."""
-    system_config = SystemConfig(rows_per_bank=config.rows_per_bank)
-    mixes = make_workload_mixes(
-        num_mixes=config.num_mixes, cores=system_config.cores, seed=config.seed
-    )
-    return run_mitigation_study(
-        system_config=system_config,
-        workload_mixes=mixes,
-        hcfirst_values=config.hcfirst_values,
-        mechanisms=config.mechanisms,
-        dram_cycles=config.dram_cycles,
-        requests_per_core=config.requests_per_core,
-        seed=config.seed,
-        respect_design_constraints=config.respect_design_constraints,
-        time_scale=config.time_scale,
-        step_mode=config.step_mode,
-    )
-
-
-@register_study(
+register_study(
     "fig10-mitigations-full",
     config=FullMitigationStudyConfig,
     requires_chip=False,
+    description="Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry.",
     decompose=_fig10_decompose("fig10-mitigations-full"),
     unit_runner=_run_mitigation_unit,
     merge=_merge_mitigation_units,
 )
-def run_full_mitigation_study(
-    _chip: None, config: FullMitigationStudyConfig
-) -> "MitigationStudyResult":
-    """Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry."""
-    return run_mitigation_study_for_config(_chip, config)
-
-
-def run_mitigation_study(
-    system_config: Optional[SystemConfig] = None,
-    workload_mixes: Optional[Sequence[WorkloadMix]] = None,
-    hcfirst_values: Sequence[int] = DEFAULT_HCFIRST_SWEEP,
-    mechanisms: Sequence[str] = DEFAULT_MECHANISMS,
-    dram_cycles: int = 20_000,
-    requests_per_core: int = 4_000,
-    seed: int = 0,
-    respect_design_constraints: bool = True,
-    time_scale: float = 1.0,
-    step_mode: str = "event",
-) -> MitigationStudyResult:
-    """Run the Figure 10 evaluation.
-
-    Parameters
-    ----------
-    system_config:
-        Simulated system (defaults to Table 6 with a reduced row count for
-        speed -- mitigation table sizes scale with it).
-    workload_mixes:
-        Multi-programmed mixes to evaluate; defaults to a small random set.
-        The paper uses 48 mixes; the default here is sized for a quick run.
-    hcfirst_values, mechanisms:
-        The sweep axes of Figure 10.
-    dram_cycles, requests_per_core:
-        Length of each simulation.
-    respect_design_constraints:
-        When true (the default, matching the paper), mechanisms are skipped
-        at HC_first values where their published design does not apply.
-    time_scale:
-        Optional threshold scaling for counter-based mechanisms (see
-        :class:`repro.mitigations.base.MitigationConfig`).  The default of
-        1.0 models the mechanisms faithfully; values below 1.0 compress the
-        refresh window into the simulated interval, which over-approximates
-        the overhead of counter-based mechanisms on short runs.
-    step_mode:
-        Simulation stepping strategy passed to every
-        :class:`~repro.sim.system.Simulation`; the default event-driven mode
-        and the ``"cycle"`` reference produce bit-identical studies.
-
-    Traces are generated once per mix and shared by every evaluation point
-    (every ``Simulation`` copies the per-core record lists it needs, and the
-    records themselves are immutable), so the sweep pays for trace synthesis
-    ``num_mixes`` times instead of once per (mechanism, HC_first, mix) run.
-    """
-    config = system_config or SystemConfig(rows_per_bank=4096)
-    mixes = list(workload_mixes) if workload_mixes is not None else make_workload_mixes(
-        num_mixes=4, cores=config.cores, seed=seed
-    )
-    traces_per_mix = [
-        mix.build_traces(
-            banks=config.banks,
-            rows_per_bank=config.rows_per_bank,
-            columns_per_row=config.columns_per_row,
-            requests_per_core=requests_per_core,
-            seed=seed,
-        )
-        for mix in mixes
-    ]
-
-    # Baselines (no mitigation) and alone IPCs are shared across all points.
-    baselines = []
-    alone_ipcs_per_mix = []
-    for traces in traces_per_mix:
-        baselines.append(
-            Simulation(config, traces, mitigation=None, step_mode=step_mode).run(
-                dram_cycles
-            )
-        )
-        alone_ipcs_per_mix.append(
-            [
-                Simulation(config, [trace], mitigation=None, step_mode=step_mode)
-                .run(dram_cycles)
-                .core_ipcs[0]
-                for trace in traces
-            ]
-        )
-    baseline_speedups = [
-        weighted_speedup(result.core_ipcs, alone)
-        for result, alone in zip(baselines, alone_ipcs_per_mix)
-    ]
-
-    study = MitigationStudyResult()
-    for mechanism_name in mechanisms:
-        for hcfirst in hcfirst_values:
-            if respect_design_constraints and not is_evaluable(mechanism_name, hcfirst):
-                continue
-            performances: List[float] = []
-            overheads: List[float] = []
-            for mix_index, traces in enumerate(traces_per_mix):
-                mitigation = build_mechanism(
-                    mechanism_name,
-                    MitigationConfig(
-                        hcfirst=hcfirst,
-                        banks=config.banks,
-                        rows_per_bank=config.rows_per_bank,
-                        timings=config.timings,
-                        seed=seed + mix_index,
-                        time_scale=time_scale,
-                    ),
-                )
-                result = Simulation(
-                    config, traces, mitigation=mitigation, step_mode=step_mode
-                ).run(dram_cycles)
-                speedup = weighted_speedup(result.core_ipcs, alone_ipcs_per_mix[mix_index])
-                performances.append(
-                    normalized_performance(speedup, baseline_speedups[mix_index])
-                )
-                overheads.append(result.bandwidth_overhead_percent)
-            if not performances:
-                continue
-            study.points.append(
-                MitigationStudyPoint(
-                    mechanism=mechanism_name,
-                    hcfirst=hcfirst,
-                    normalized_performance_avg=sum(performances) / len(performances),
-                    normalized_performance_min=min(performances),
-                    normalized_performance_max=max(performances),
-                    bandwidth_overhead_avg=sum(overheads) / len(overheads),
-                    bandwidth_overhead_min=min(overheads),
-                    bandwidth_overhead_max=max(overheads),
-                    workloads_evaluated=len(performances),
-                )
-            )
-    return study

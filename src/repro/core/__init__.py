@@ -19,14 +19,16 @@ registry (``fig4-coverage``, ``fig5-hc-sweep``, ``fig6-spatial``,
 ``fig7-word-density``, ``fig8-hcfirst``, ``fig9-ecc-words``,
 ``table5-flip-probability``, ``alg1-characterization``) so a whole
 population can be driven through one
-:class:`~repro.experiments.session.ExperimentSession`; the free functions
-remain as thin compatibility wrappers.
+:class:`~repro.experiments.session.ExperimentSession`.  The undecomposed
+studies keep their free functions as thin compatibility wrappers; the
+decomposed ones (``alg1-characterization``, ``fig4-coverage``) run only as
+their work units, through a session or ``get_study(name).run(chip, config)``.
 """
 
 from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, pattern_by_name
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
 from repro.core.characterization import RowHammerCharacterizer, CharacterizationConfig
-from repro.core.coverage import CoverageStudyConfig, pattern_coverage
+from repro.core.coverage import CoverageStudyConfig
 from repro.core.sweeps import SweepStudyConfig, hammer_count_sweep
 from repro.core.spatial import SpatialStudyConfig, spatial_distribution
 from repro.core.word_density import WordDensityStudyConfig, word_density
@@ -45,7 +47,6 @@ __all__ = [
     "RowHammerCharacterizer",
     "CharacterizationConfig",
     "CoverageStudyConfig",
-    "pattern_coverage",
     "SweepStudyConfig",
     "hammer_count_sweep",
     "SpatialStudyConfig",

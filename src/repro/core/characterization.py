@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, worst_case_pattern
+from repro.core.data_patterns import DataPattern, worst_case_pattern
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import WorkUnit, register_study
@@ -127,7 +127,9 @@ def _decompose_characterization(config: CharacterizationConfig) -> List[WorkUnit
 
     The hammer counts are the one grid axis always enumerable from the
     config alone (patterns and victims may default from the chip), and each
-    count is by far the most expensive dimension of the loop.
+    count is by far the most expensive dimension of the loop.  Every unit
+    measures its count on a fresh copy of the chip, from the same pristine
+    state.
     """
     # Embedding the single-count restriction of the config satisfies the
     # WorkUnit cache contract by construction: every other config field
@@ -147,7 +149,7 @@ def _decompose_characterization(config: CharacterizationConfig) -> List[WorkUnit
     ]
 
 
-def _run_characterization_unit(
+def _characterization_unit(
     chip: DramChip, config: CharacterizationConfig, unit: WorkUnit
 ) -> "CharacterizationResult":
     """Run the full pattern/bank/victim loop at one hammer count."""
@@ -160,8 +162,8 @@ def _merge_characterization(
     """Interleave per-hammer-count records back into Algorithm 1's order.
 
     Each unit's records are ordered pattern -> bank -> victim for its fixed
-    hammer count; the monolithic loop iterates hammer counts innermost, so
-    the merged record list takes one record per unit per (pattern, bank,
+    hammer count; Algorithm 1 iterates hammer counts innermost, so the
+    merged record list takes one record per unit per (pattern, bank,
     victim) position.
     """
     first = payloads[0]
@@ -183,29 +185,14 @@ def _merge_characterization(
     return merged
 
 
-@register_study(
+register_study(
     "alg1-characterization",
     config=CharacterizationConfig,
+    description="Algorithm 1: the full characterization loop over one chip.",
     decompose=_decompose_characterization,
-    unit_runner=_run_characterization_unit,
+    unit_runner=_characterization_unit,
     merge=_merge_characterization,
 )
-def run_characterization(
-    chip: DramChip, config: CharacterizationConfig
-) -> "CharacterizationResult":
-    """Algorithm 1: the full characterization loop over one chip.
-
-    Through a session this study runs *sharded*: one hermetic work unit per
-    hammer count, each against a fresh copy of the chip.  Because per-write
-    refresh-epoch noise then restarts per unit instead of accumulating
-    across the sweep, the sharded payload is not bit-identical to this
-    monolithic reference -- each hammer count is instead measured from the
-    same pristine state, which is the semantics the sharded study defines.
-    Each unit executes on the columnar chip core (vectorized pattern
-    writes, disturbs, and read-back diffs), bit-identical per unit to the
-    pre-columnar implementation, so cached unit digests replay unchanged.
-    """
-    return RowHammerCharacterizer(chip).run(config)
 
 
 class RowHammerCharacterizer:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, pattern_by_name
+from repro.core.data_patterns import STANDARD_PATTERNS, pattern_by_name
 from repro.core.results import CoverageResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import WorkUnit, register_study
@@ -24,7 +24,11 @@ class CoverageStudyConfig:
     """Parameters of the Figure 4 / Table 3 data-pattern coverage study.
 
     ``patterns`` holds standard-pattern names; the default is the paper's
-    eight patterns in plotting order.
+    eight patterns in plotting order.  ``hammer_count`` is used for every
+    pattern (the paper uses 150k).  ``iterations`` repeats the test per
+    pattern and aggregates unique flips across repeats (the paper uses
+    ten).  ``bank`` and ``victims`` select the victim rows; the default is
+    every testable row of bank 0.
     """
 
     hammer_count: int = DramChip.TEST_LIMIT_HC
@@ -61,7 +65,8 @@ def _decompose_coverage(config: CoverageStudyConfig) -> List[WorkUnit]:
 
     Each unit embeds the single-pattern restriction of the config (per the
     WorkUnit cache contract), so adding a pattern to a sweep replays the
-    patterns already measured.
+    patterns already measured.  Every unit measures its pattern on a fresh
+    copy of the chip, so all patterns start from the same pristine state.
     """
     return [
         WorkUnit(
@@ -124,89 +129,14 @@ def _merge_coverage(
     )
 
 
-@register_study(
+register_study(
     "fig4-coverage",
     config=CoverageStudyConfig,
+    description="Per-data-pattern bit-flip coverage (Figure 4 / Table 3).",
     decompose=_decompose_coverage,
     unit_runner=_run_coverage_unit,
     merge=_merge_coverage,
 )
-def run_pattern_coverage(chip: DramChip, config: CoverageStudyConfig) -> CoverageResult:
-    """Per-data-pattern bit-flip coverage (Figure 4 / Table 3).
-
-    Through a session this study runs *sharded*: one hermetic work unit per
-    data pattern, each against a fresh copy of the chip, so every pattern's
-    flip set is measured from the same pristine state (per-write
-    refresh-epoch noise does not accumulate across patterns as it does in
-    this monolithic reference loop).  Each unit executes on the columnar
-    chip core -- pattern writes, disturbs, and read-back diffs are whole-
-    neighbourhood vectorized ops -- with results bit-identical to the
-    pre-columnar implementation, so cached unit digests replay unchanged.
-    """
-    return pattern_coverage(
-        chip,
-        hammer_count=config.hammer_count,
-        patterns=tuple(pattern_by_name(name) for name in config.patterns),
-        iterations=config.iterations,
-        bank=config.bank,
-        victims=config.victims,
-    )
-
-
-def pattern_coverage(
-    chip: DramChip,
-    hammer_count: int = DramChip.TEST_LIMIT_HC,
-    patterns: Sequence[DataPattern] = STANDARD_PATTERNS,
-    iterations: int = 1,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> CoverageResult:
-    """Measure per-pattern coverage of all observable RowHammer bit flips.
-
-    Parameters
-    ----------
-    chip:
-        Chip under test.
-    hammer_count:
-        Hammer count used for every pattern (the paper uses 150k).
-    patterns:
-        Data patterns to compare (the paper's eight standard patterns).
-    iterations:
-        How many times to repeat the test per pattern; the paper uses ten
-        iterations and aggregates unique flips across them.
-    bank, victims:
-        Victim rows to test; defaults to every testable row of bank 0.
-    """
-    characterizer = RowHammerCharacterizer(chip)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
-
-    cells_by_pattern: Dict[str, Set[Tuple[int, int, int]]] = {}
-    for pattern in patterns:
-        cells: Set[Tuple[int, int, int]] = set()
-        for _iteration in range(iterations):
-            for result in characterizer.hammer_all_victims(
-                hammer_count, data_pattern=pattern, bank=bank, victims=victims
-            ):
-                cells.update(flip.cell for flip in result.flips)
-        cells_by_pattern[pattern.name] = cells
-
-    all_cells: Set[Tuple[int, int, int]] = set()
-    for cells in cells_by_pattern.values():
-        all_cells.update(cells)
-
-    coverage = {
-        name: (len(cells) / len(all_cells) if all_cells else 0.0)
-        for name, cells in cells_by_pattern.items()
-    }
-    return CoverageResult(
-        chip_id=chip.chip_id,
-        type_node=chip.profile.type_node.value,
-        manufacturer=chip.profile.manufacturer,
-        hammer_count=hammer_count,
-        unique_flips_total=len(all_cells),
-        coverage_by_pattern=coverage,
-        flips_by_pattern={name: len(cells) for name, cells in cells_by_pattern.items()},
-    )
 
 
 def worst_case_patterns_by_configuration(

@@ -10,19 +10,22 @@ work is never repeated across benchmarks or runs.
 
 Work units: sharded execution and crash resume
 ----------------------------------------------
-Grid-shaped studies additionally declare a *decomposition* at registration
-time -- ``decompose(config)`` enumerating independent :class:`WorkUnit`
+Grid-shaped studies are registered as a *decomposition* instead of one
+function -- ``decompose(config)`` enumerating independent :class:`WorkUnit`
 shards, ``unit_runner(chip, config, unit)`` executing one shard
 hermetically, and a deterministic ``merge(config, payloads)`` reassembling
 the study payload in decomposition order::
 
-    @register_study("my-sweep", config=SweepConfig,
-                    decompose=my_decompose, unit_runner=my_unit_runner,
-                    merge=my_merge)
-    def run_my_sweep(chip, config):
-        ...  # monolithic reference implementation
+    register_study("my-sweep", config=SweepConfig,
+                   description="A sharded hammer-count sweep",
+                   decompose=my_decompose, unit_runner=my_unit_runner,
+                   merge=my_merge)
 
-Sessions then fan the *units* (not whole studies) through the executor and
+A decomposed study is its units: a direct ``get_study("my-sweep").run(chip,
+config)`` runs them one after another on fresh copies of the chip and
+merges them, so it returns exactly what a session returns.
+
+Sessions fan the *units* (not whole studies) through the executor and
 cache each unit individually, keyed by the unit's content digest.  That
 buys three things at once:
 
@@ -42,11 +45,11 @@ buys three things at once:
 The Figure 10 studies (``fig10-mitigations``, ``fig10-mitigations-full``)
 shard into one baseline unit per workload mix plus one cell unit per
 evaluable (mechanism, HC_first, mix) grid point -- 48 + 47 x 48 units at
-paper scale -- and merge bit-identically to the monolithic
-:func:`~repro.analysis.mitigation_study.run_mitigation_study`.  The
-chip-grid characterization studies shard along their grid axes
-(``alg1-characterization`` per hammer count, ``fig4-coverage`` per data
-pattern), each unit measuring a fresh hermetic chip copy.
+paper scale -- and their payload is the same in both simulator step modes
+(``step_mode="cycle"`` is the oracle).  The chip-grid characterization
+studies shard along their grid axes (``alg1-characterization`` per hammer
+count, ``fig4-coverage`` per data pattern), each unit measuring a fresh
+hermetic chip copy.
 ``SessionRunResult.cache_hits`` / ``executed`` count at unit granularity,
 so progress reporting stays truthful for decomposed studies.
 

@@ -1,8 +1,8 @@
 """Pluggable execution backends for fanning studies out across chips.
 
-An :class:`Executor` turns a batch of :class:`StudyTask` items -- whole
-studies or individual :class:`~repro.experiments.study.WorkUnit` shards of a
-decomposed study -- into :class:`TaskOutcome` items, in task order.  Two
+An :class:`Executor` turns a batch of :class:`StudyTask` items -- one
+:class:`~repro.experiments.study.WorkUnit` each -- into
+:class:`TaskOutcome` items, in task order.  Two
 backends are provided:
 
 * :class:`SerialExecutor` runs tasks one after another in-process -- the
@@ -51,16 +51,16 @@ class StudyTask:
     resulting :class:`~repro.experiments.study.StudyResult` so downstream
     consumers can reproduce any task in isolation.
 
-    ``unit`` selects one shard of a decomposed study (see
-    :class:`~repro.experiments.study.WorkUnit`); ``None`` runs the whole
-    study, which keeps direct executor users working unchanged.
+    ``unit`` is the :class:`~repro.experiments.study.WorkUnit` to run: one
+    shard of a decomposed study, or the implicit whole-study unit of an
+    undecomposed one.
     """
 
     study: str
     config: Any
     chip: Optional[DramChip]
     seed: int
-    unit: Optional[WorkUnit] = None
+    unit: WorkUnit
 
 
 @dataclass
@@ -81,7 +81,7 @@ class TaskOutcome:
 
 
 def execute_task(task: StudyTask) -> TaskOutcome:
-    """Execute one study task (a whole study or one work unit) hermetically.
+    """Execute one study task's work unit hermetically.
 
     Module-level so :class:`ParallelExecutor` can ship it to worker
     processes; the registry lookup re-imports the built-in study modules
@@ -92,10 +92,7 @@ def execute_task(task: StudyTask) -> TaskOutcome:
     if chip is not None:
         chip.stats.reset()
     started = time.perf_counter()
-    if task.unit is not None:
-        payload = spec.run_unit(chip, task.config, task.unit)
-    else:
-        payload = spec.run(chip, task.config)
+    payload = spec.run_unit(chip, task.config, task.unit)
     elapsed = time.perf_counter() - started
     result = StudyResult(
         study=task.study,
@@ -106,8 +103,8 @@ def execute_task(task: StudyTask) -> TaskOutcome:
         seed=task.seed,
         payload=payload,
         elapsed_s=elapsed,
-        unit_id=task.unit.unit_id if task.unit is not None else None,
-        unit_digest=task.unit.digest if task.unit is not None else None,
+        unit_id=task.unit.unit_id,
+        unit_digest=task.unit.digest,
     )
     return TaskOutcome(result=result, stats=chip.stats if chip is not None else None)
 

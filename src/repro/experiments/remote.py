@@ -105,7 +105,7 @@ class ServiceExecutor(Executor):
     def _unit_spec(index: int, task: StudyTask) -> dict:
         """The JSON unit dict shipped in a submit message for one task."""
         unit = task.unit
-        if unit is None or unit.is_whole_study:
+        if unit.is_whole_study:
             digest = "whole-study"
             unit_digest_key = ""
         else:

@@ -10,15 +10,18 @@ fans registered studies out over chip populations.
 
 Work units
 ----------
-Long grid-shaped studies may additionally declare a *decomposition*: a
-``decompose(config) -> [WorkUnit]`` enumerating independent shards of the
-grid, a ``unit_runner(chip, config, unit)`` executing one shard
-hermetically, and a deterministic ``merge(config, payloads)`` reassembling
-the study payload from shard payloads *in decomposition order*.  Sessions
-then fan the units -- not the whole study -- through the executor and cache
-each unit individually, so a killed sweep resumes from its completed units
-and a config edit invalidates only the units it touches.  Studies without a
-decomposition run as a single implicit whole-study unit.
+Long grid-shaped studies are registered as a *decomposition* instead of one
+function: a ``decompose(config) -> [WorkUnit]`` enumerating independent
+shards of the grid, a ``unit_runner(chip, config, unit)`` executing one
+shard hermetically, and a deterministic ``merge(config, payloads)``
+reassembling the study payload from shard payloads *in decomposition
+order*.  Sessions fan the units -- not the whole study -- through the
+executor and cache each unit individually, so a killed sweep resumes from
+its completed units and a config edit invalidates only the units it
+touches.  Studies without a decomposition run as a single implicit
+whole-study unit.  Either way a study executes one way: a direct
+``run(chip, config)`` is the merge of its units, each run on a fresh copy
+of the chip, so it returns exactly a session's merged payload.
 
 The registry deliberately knows nothing about chips or executors, so study
 implementations (which live next to the measurement code they wrap, for
@@ -27,10 +30,10 @@ example :mod:`repro.core.sweeps`) can import it without cycles.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import importlib
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -148,19 +151,16 @@ class Study(Protocol):
 class RegisteredStudy:
     """A study registered under a unique name.
 
-    Wraps a plain function ``fn(chip, config) -> payload`` together with the
-    metadata the session layer needs: the config dataclass used when no
-    config is supplied, whether the study runs per chip or once per
-    population, and a human-readable description.
-
-    A study may also declare a work-unit decomposition (``decompose_fn`` /
-    ``unit_runner_fn`` / ``merge_fn``, see the module docstring); sessions
-    then execute and cache the study shard by shard.  ``fn`` remains the
-    monolithic reference implementation, callable directly.
+    A study is either one function ``fn(chip, config) -> payload`` or a
+    work-unit decomposition (``decompose_fn`` / ``unit_runner_fn`` /
+    ``merge_fn``, see the module docstring), together with the metadata the
+    session layer needs: the config dataclass used when no config is
+    supplied, whether the study runs per chip or once per population, and a
+    human-readable description.
     """
 
     name: str
-    fn: Callable[[Any, Any], Any]
+    fn: Optional[Callable[[Any, Any], Any]] = None
     config_cls: Optional[type] = None
     requires_chip: bool = True
     description: str = ""
@@ -173,10 +173,19 @@ class RegisteredStudy:
         return self.config_cls() if self.config_cls is not None else None
 
     def run(self, chip: Any, config: Any = None) -> Any:
-        """Execute the study against one chip (or ``None`` for system studies)."""
+        """Execute the study against one chip (or ``None`` for system studies).
+
+        Every work unit runs against its own deep copy of ``chip``, the
+        contract executors give a session's units, so the payload equals a
+        serial session's merged payload and ``chip`` is left untouched.
+        """
         if config is None:
             config = self.default_config()
-        return self.fn(chip, config)
+        payloads = [
+            self.run_unit(copy.deepcopy(chip), config, unit)
+            for unit in self.units_for(config)
+        ]
+        return self.merge_units(config, payloads)
 
     # ------------------------------------------------------------------
     # Work-unit decomposition
@@ -217,14 +226,15 @@ class RegisteredStudy:
         return units
 
     def run_unit(self, chip: Any, config: Any, unit: "WorkUnit") -> Any:
-        """Execute one work unit hermetically, returning the unit payload.
+        """Execute one work unit, returning the unit payload.
 
-        The implicit whole-study unit falls through to :meth:`run`, so every
-        execution path -- decomposed or not -- goes through one method.
+        The implicit whole-study unit of an undecomposed study calls ``fn``,
+        so every execution path -- decomposed or not -- goes through one
+        method.
         """
         if config is None:
             config = self.default_config()
-        if not self.is_decomposable or unit.is_whole_study:
+        if not self.is_decomposable:
             return self.fn(chip, config)
         return self.unit_runner_fn(chip, config, unit)
 
@@ -334,12 +344,23 @@ def register_study(
     decompose: Optional[Callable[[Any], Sequence[WorkUnit]]] = None,
     unit_runner: Optional[Callable[[Any, Any, WorkUnit], Any]] = None,
     merge: Optional[Callable[[Any, List[Any]], Any]] = None,
-) -> Callable[[Callable[[Any, Any], Any]], Callable[[Any, Any], Any]]:
-    """Decorator registering ``fn(chip, config) -> payload`` as a named study.
+) -> Optional[Callable[[Callable[[Any, Any], Any]], Callable[[Any, Any], Any]]]:
+    """Register a named study.
+
+    An undecomposed study is one function ``fn(chip, config) -> payload``,
+    registered by decorating it:
 
     >>> @register_study("demo-noop")
     ... def run_noop(chip, config):
     ...     return None
+
+    A decomposed study is its units and has no such function: passing
+    ``decompose``, ``unit_runner`` and ``merge`` registers it at once and
+    returns ``None``::
+
+        register_study("my-sweep", config=SweepConfig, description="...",
+                       decompose=my_decompose, unit_runner=my_unit_runner,
+                       merge=my_merge)
 
     Parameters
     ----------
@@ -355,16 +376,15 @@ def register_study(
         Figure 10 mitigation study) that are executed once per session
         rather than once per chip; their ``chip`` argument is ``None``.
     description:
-        One-line human-readable summary; defaults to the first line of the
-        function's docstring.
+        One-line human-readable summary; an undecomposed study defaults to
+        the first line of its function's docstring.
     decompose, unit_runner, merge:
-        Optional work-unit decomposition (see the module docstring): all
-        three must be given together.  ``decompose(config)`` enumerates the
+        The work-unit decomposition (see the module docstring): all three
+        must be given together.  ``decompose(config)`` enumerates the
         study's :class:`WorkUnit` shards, ``unit_runner(chip, config, unit)``
         executes one shard hermetically, and ``merge(config, payloads)``
         deterministically reassembles the study payload from shard payloads
-        in decomposition order.  The decorated ``fn`` stays registered as
-        the monolithic reference implementation.
+        in decomposition order.
     """
     provided = (decompose is not None, unit_runner is not None, merge is not None)
     if any(provided) and not all(provided):
@@ -373,14 +393,16 @@ def register_study(
             "declared together"
         )
 
-    def decorator(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def add(fn: Optional[Callable[[Any, Any], Any]]) -> None:
         if name in _REGISTRY:
+            existing = _REGISTRY[name]
+            origin = existing.fn or existing.unit_runner_fn
             raise DuplicateStudyError(
                 f"study {name!r} is already registered (by "
-                f"{_REGISTRY[name].fn.__module__}.{_REGISTRY[name].fn.__qualname__})"
+                f"{origin.__module__}.{origin.__qualname__})"
             )
         summary = description
-        if not summary and fn.__doc__:
+        if not summary and fn is not None and fn.__doc__:
             summary = fn.__doc__.strip().splitlines()[0].strip()
         _REGISTRY[name] = RegisteredStudy(
             name=name,
@@ -392,6 +414,13 @@ def register_study(
             unit_runner_fn=unit_runner,
             merge_fn=merge,
         )
+
+    if decompose is not None:
+        add(None)
+        return None
+
+    def decorator(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+        add(fn)
         return fn
 
     return decorator

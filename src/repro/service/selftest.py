@@ -96,7 +96,7 @@ def _merge(
     )
 
 
-@register_study(
+register_study(
     "service-selftest",
     config=ServiceSelfTestConfig,
     requires_chip=False,
@@ -105,9 +105,3 @@ def _merge(
     unit_runner=_run_unit,
     merge=_merge,
 )
-def run_service_selftest(
-    _chip: None, config: ServiceSelfTestConfig
-) -> ServiceSelfTestResult:
-    """Deterministic hash-work study for service fault injection."""
-    payloads = [_run_unit(_chip, config, unit) for unit in _decompose(config)]
-    return _merge(config, payloads)

@@ -2,28 +2,23 @@
 
 import pytest
 
-from repro.analysis.mitigation_study import (
-    DEFAULT_HCFIRST_SWEEP,
-    run_mitigation_study,
-)
-from repro.sim.config import SystemConfig
-from repro.sim.workloads import make_workload_mixes
+from repro.analysis.mitigation_study import DEFAULT_HCFIRST_SWEEP, MitigationStudyConfig
+from repro.experiments import get_study
 
 
 @pytest.fixture(scope="module")
 def small_study():
     """A reduced Figure 10 run shared across tests (seconds, not minutes)."""
-    config = SystemConfig(cores=4, banks=8, rows_per_bank=1024)
-    mixes = make_workload_mixes(num_mixes=2, cores=4, seed=3)
-    return run_mitigation_study(
-        system_config=config,
-        workload_mixes=mixes,
+    config = MitigationStudyConfig(
         hcfirst_values=(50_000, 2_000, 128),
         mechanisms=("PARA", "Ideal", "TWiCe-ideal", "ProHIT"),
+        num_mixes=2,
+        rows_per_bank=1024,
         dram_cycles=4_000,
         requests_per_core=1_000,
         seed=1,
     )
+    return get_study("fig10-mitigations").run(None, config)
 
 
 class TestMitigationStudy:

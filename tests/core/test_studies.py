@@ -4,7 +4,7 @@ word density, ECC analysis, probability, scaling)."""
 import pytest
 
 from repro.core.calibration import hammer_count_for_flip_rate, measure_flip_rate
-from repro.core.coverage import pattern_coverage, worst_case_patterns_by_configuration
+from repro.core.coverage import CoverageStudyConfig, worst_case_patterns_by_configuration
 from repro.core.data_patterns import STANDARD_PATTERNS, worst_case_pattern
 from repro.core.ecc_analysis import ecc_word_analysis
 from repro.core.probability import flip_probability_study
@@ -18,6 +18,7 @@ from repro.core.sweeps import hammer_count_sweep, loglog_slope
 from repro.core.word_density import single_flip_fraction, word_density
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
+from repro.experiments import get_study
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
 
@@ -33,26 +34,29 @@ def vulnerable_lpddr4():
     return make_chip("LPDDR4-1y", "A", seed=51, geometry=GEOMETRY, hcfirst_target=12_000)
 
 
+@pytest.fixture(scope="module")
+def coverage(vulnerable_chip):
+    return get_study("fig4-coverage").run(
+        vulnerable_chip, CoverageStudyConfig(hammer_count=150_000)
+    )
+
+
 class TestCoverage:
-    def test_worst_case_pattern_has_highest_coverage(self, vulnerable_chip):
-        result = pattern_coverage(vulnerable_chip, hammer_count=150_000)
-        assert result.unique_flips_total > 0
+    def test_worst_case_pattern_has_highest_coverage(self, vulnerable_chip, coverage):
+        assert coverage.unique_flips_total > 0
         expected = worst_case_pattern(vulnerable_chip.profile).name
-        assert result.worst_case_pattern == expected
+        assert coverage.worst_case_pattern == expected
 
-    def test_no_pattern_reaches_full_coverage(self, vulnerable_chip):
-        result = pattern_coverage(vulnerable_chip, hammer_count=150_000)
-        assert all(value <= 1.0 for value in result.coverage_by_pattern.values())
-        assert result.coverage_by_pattern[result.worst_case_pattern] < 1.0
+    def test_no_pattern_reaches_full_coverage(self, coverage):
+        assert all(value <= 1.0 for value in coverage.coverage_by_pattern.values())
+        assert coverage.coverage_by_pattern[coverage.worst_case_pattern] < 1.0
 
-    def test_coverages_cover_all_patterns(self, vulnerable_chip):
-        result = pattern_coverage(vulnerable_chip, hammer_count=150_000)
-        assert set(result.coverage_by_pattern) == {p.name for p in STANDARD_PATTERNS}
+    def test_coverages_cover_all_patterns(self, coverage):
+        assert set(coverage.coverage_by_pattern) == {p.name for p in STANDARD_PATTERNS}
 
-    def test_table3_aggregation(self, vulnerable_chip):
-        result = pattern_coverage(vulnerable_chip, hammer_count=150_000)
-        table = worst_case_patterns_by_configuration([result])
-        assert table[("DDR4-new", "A")] == result.worst_case_pattern
+    def test_table3_aggregation(self, coverage):
+        table = worst_case_patterns_by_configuration([coverage])
+        assert table[("DDR4-new", "A")] == coverage.worst_case_pattern
 
 
 class TestSweeps:

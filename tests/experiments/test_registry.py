@@ -150,6 +150,11 @@ class TestConfigValidation:
             pytest.param({"mechanisms": ("PARA", "NoSuchMechanism")}, "unknown", id="unknown-mechanism"),
             pytest.param({"mechanisms": ("PARA", "TWiCe", "PARA")}, "repeats", id="repeated-mechanism"),
             pytest.param({"hcfirst_values": (2_000, 4_000, 2_000)}, "repeats", id="repeated-hcfirst"),
+            pytest.param({"step_mode": "events"}, "step_mode", id="unknown-step-mode"),
+            pytest.param({"dram_cycles": 0}, "dram_cycles", id="zero-dram-cycles"),
+            pytest.param({"requests_per_core": 0}, "requests_per_core", id="zero-requests"),
+            pytest.param({"rows_per_bank": 0}, "rows_per_bank", id="zero-rows"),
+            pytest.param({"time_scale": 0.0}, "time_scale", id="zero-time-scale"),
         ],
     )
     def test_mitigation_study_config_rejects(self, kwargs, match):

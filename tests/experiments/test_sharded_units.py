@@ -4,14 +4,18 @@ The unit layer's core guarantee: a decomposed study's merged payload is a
 pure function of (study, config, chip) -- bit-identical no matter which
 executor ran the units, how many workers it used, or in what order the
 units completed.  This suite pins that guarantee for the simulator-backed
-Figure 10 studies (including equality with the monolithic reference
-implementation) and for the chip-grid studies, on a tiny tier-1 config;
-a fuller sweep runs behind the ``slow`` marker.
+Figure 10 studies (including equality with the ``step_mode="cycle"``
+oracle) and for the chip-grid studies, on a tiny tier-1 config; a fuller
+sweep runs behind the ``slow`` marker.  A direct ``get_study(name).run``
+is the same serial units-then-merge path, so it returns the session's
+payload and leaves the caller's chip untouched.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -79,6 +83,12 @@ def points_of(study_payload):
     return [point.to_dict() for point in study_payload.points]
 
 
+@lru_cache(maxsize=None)
+def serial_points(step_mode, **overrides):
+    """Serial-run points, memoized so parametrized tests share their runs."""
+    return points_of(run_fig10(SerialExecutor(), step_mode, **overrides).single())
+
+
 class TestFig10ShardedDeterminism:
     @pytest.mark.parametrize("step_mode", ["event", "cycle"])
     def test_parallel_matches_serial_bit_for_bit(self, step_mode):
@@ -95,14 +105,12 @@ class TestFig10ShardedDeterminism:
         shuffled = run_fig10(ShuffledCompletionExecutor(seed=shuffle_seed), "event")
         assert points_of(reference.single()) == points_of(shuffled.single())
 
-    def test_sharded_matches_monolithic_oracle(self):
-        """The merged payload reproduces the monolithic reference function
-        bit for bit: same floats, same point order."""
-        spec = get_study("fig10-mitigations")
-        config = MitigationStudyConfig(step_mode="event", **TINY_FIG10)
-        monolithic = spec.run(None, config)
-        sharded = run_fig10(SerialExecutor(), "event").single()
-        assert points_of(monolithic) == points_of(sharded)
+    def test_event_matches_cycle_oracle(self):
+        """The event-driven payload reproduces the cycle-by-cycle oracle bit
+        for bit: same floats, same point order."""
+        event = run_fig10(SerialExecutor(), "event").single()
+        cycle = run_fig10(SerialExecutor(), "cycle").single()
+        assert points_of(event) == points_of(cycle)
 
 
 class TestChipGridShardedDeterminism:
@@ -153,6 +161,41 @@ class TestChipGridShardedDeterminism:
         assert list(serial.coverage_by_pattern) == list(config.patterns)
 
 
+def chip_snapshot(chip):
+    """The chip's operation counters and the stored bits of every row."""
+    rows = chip.read_rows_raw(0, range(chip.geometry.rows_per_bank))
+    return dataclasses.asdict(chip.stats), rows.tobytes()
+
+
+class TestDirectRunMatchesSession:
+    @pytest.mark.parametrize(
+        "study, config",
+        [
+            pytest.param(
+                "alg1-characterization",
+                CharacterizationConfig(hammer_counts=(25_000, 100_000)),
+                id="alg1-characterization",
+            ),
+            pytest.param(
+                "fig4-coverage",
+                CoverageStudyConfig(
+                    hammer_count=100_000, patterns=("RowStripe0", "Checkered0")
+                ),
+                id="fig4-coverage",
+            ),
+        ],
+    )
+    def test_run_equals_serial_session_and_leaves_chip_untouched(self, study, config):
+        chip = make_chip(
+            "DDR4-new", "A", seed=50, geometry=GEOMETRY, hcfirst_target=12_000
+        )
+        before = chip_snapshot(chip)
+        direct = get_study(study).run(chip, config)
+        assert chip_snapshot(chip) == before
+        session = ExperimentSession(chip, executor=SerialExecutor(), seed=4)
+        assert direct == session.run(study, config).single()
+
+
 class TestPaperScaleDecomposition:
     def test_fig10_full_decomposes_into_paper_grid(self):
         """Acceptance criterion: the paper-scale study decomposes into the
@@ -200,13 +243,7 @@ class TestFullSweepShardedDeterminism:
 
     @pytest.mark.parametrize("step_mode", ["event", "cycle"])
     def test_parallel_matches_serial(self, step_mode):
-        serial = run_fig10(SerialExecutor(), step_mode, **self.SWEEP)
         parallel = run_fig10(ParallelExecutor(max_workers=2), step_mode, **self.SWEEP)
-        assert points_of(serial.single()) == points_of(parallel.single())
-
-    def test_sharded_matches_monolithic_oracle(self):
-        spec = get_study("fig10-mitigations")
-        config = MitigationStudyConfig(step_mode="event", **self.SWEEP)
-        monolithic = spec.run(None, config)
-        sharded = run_fig10(SerialExecutor(), "event", **self.SWEEP).single()
-        assert points_of(monolithic) == points_of(sharded)
+        assert serial_points(step_mode, **self.SWEEP) == points_of(parallel.single())
+        # The event-driven payload equals the cycle-by-cycle oracle's.
+        assert serial_points("event", **self.SWEEP) == serial_points("cycle", **self.SWEEP)
