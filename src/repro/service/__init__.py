@@ -48,8 +48,9 @@ base64 blobs inside JSON strings.  The full message reference lives in
 :mod:`repro.service.protocol`.  In short: clients send ``submit`` and
 receive ``unit_complete`` / ``unit_quarantined`` / ``submission_done``;
 workers loop ``lease_request`` -> ``lease_grant`` -> ``unit_result`` |
-``unit_failed`` with fire-and-forget ``heartbeat`` renewals; anyone may
-send ``status_request``.
+``unit_failed`` with fire-and-forget ``heartbeat`` renewals (an idle
+worker's ``lease_request`` is held until work arrives); anyone may send
+``status_request``.
 
 Lease state machine
 -------------------

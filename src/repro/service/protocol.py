@@ -62,6 +62,17 @@ Scheduler -> worker::
     {"type": "lease_grant", "lease_id": str, "expires_in": float,
      "units": [{"key": str, "task": blob}]}
     {"type": "no_work", "retry_in": float}
+
+Every ``lease_request`` gets exactly one reply, and a worker sends its
+next ``lease_request`` only after that reply.  When nothing is grantable
+the scheduler *parks* the request: it answers with ``lease_grant`` as soon
+as units become grantable (a submission arrives, units are requeued, a
+backoff ends), serving parked workers oldest first.  A request that gets
+no work within its hold -- 0.5 s, or the wait until the earliest backoff
+ends, capped at 5 s -- is answered ``no_work`` with ``retry_in: 0``: ask
+again at once.  A worker treats a missing ``retry_in`` as 0.5 s.  A second
+``lease_request`` sent while one is parked is out of order: the scheduler
+replies ``error`` and closes the connection.
 """
 
 from __future__ import annotations

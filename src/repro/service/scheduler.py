@@ -18,6 +18,15 @@ store:
   local session may share the directory) before being forwarded to the
   submitting client.
 
+A ``lease_request`` that finds nothing grantable is *parked*, not refused:
+the scheduler holds it and grants to parked workers, oldest first, the
+moment units become grantable -- right after a submission is acknowledged,
+when lost or failed units are requeued, and when a backoff ends.  A parked
+request that gets no work within its hold (:data:`IDLE_HOLD_S`, or the wait
+until the earliest backoff ends, capped at :data:`MAX_HOLD_S`) is answered
+``no_work`` with ``retry_in: 0``, so an idle worker still hears from the
+scheduler at least that often and can honour its stop event and idle limit.
+
 :class:`SchedulerThread` hosts a server on a background event-loop thread
 for in-process use -- loopback tests, benchmarks and the bundled example
 stand up a full scheduler this way in a few lines.
@@ -29,11 +38,17 @@ import asyncio
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.service import protocol
-from repro.service.leases import LeaseManager, UnitEvent, UnitRecord
+from repro.service.leases import Lease, LeaseManager, UnitEvent, UnitRecord
 from repro.service.telemetry import SchedulerTelemetry
+
+#: How long a parked lease request waits for work when none is pending.
+IDLE_HOLD_S = 0.5
+
+#: Upper bound on a parked request's hold while units sit out a backoff.
+MAX_HOLD_S = 5.0
 
 
 class Connection:
@@ -96,6 +111,13 @@ class _Submission:
         self.finished = False
 
 
+class _ParkedRequest(NamedTuple):
+    """A worker's lease request waiting for grantable work."""
+
+    capacity: int
+    hold: asyncio.TimerHandle
+
+
 class SchedulerServer:
     """Serves study submissions to a worker fleet with leased dispatch.
 
@@ -144,6 +166,12 @@ class SchedulerServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweep_task: Optional[asyncio.Task] = None
         self._connections: Dict[asyncio.Task, Connection] = {}
+        #: Parked lease requests in arrival order (granted oldest first).
+        self._parked: Dict[Connection, _ParkedRequest] = {}
+        #: Fires when the earliest backoff ends while requests are parked.
+        self._wake_timer: Optional[asyncio.TimerHandle] = None
+        #: Grants and ``no_work`` replies sent from timers and wake-ups.
+        self._replies: Set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -186,6 +214,9 @@ class SchedulerServer:
         for conn in self._connections.values():
             conn.writer.close()
         await asyncio.gather(*self._connections, return_exceptions=True)
+        # Every handler unparked its connection on the way out, so no hold
+        # or wake-up can start a reply after this.
+        await asyncio.gather(*self._replies, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         # Set last: serve_forever (and the hosting thread's loop) must only
@@ -262,6 +293,7 @@ class SchedulerServer:
     async def _connection_lost(self, conn: Connection) -> None:
         now = time.monotonic()
         if conn.role == "worker":
+            self._unpark(conn)
             events = self.manager.release_worker(conn.name, now)
             if events:
                 self.telemetry.bump("leases_released")
@@ -325,41 +357,45 @@ class SchedulerServer:
                 "units": len(records),
             }
         )
+        self._wake_parked()
 
     # ------------------------------------------------------------------
     # Worker messages
     # ------------------------------------------------------------------
     async def _handle_lease_request(self, conn: Connection, message: Dict[str, Any]) -> None:
+        if conn in self._parked:
+            # A worker waits for the reply to its request before asking
+            # again; a second request would risk a double grant.
+            self._unpark(conn)
+            raise protocol.ProtocolError("lease_request while an earlier one is parked")
         now = time.monotonic()
         self.telemetry.worker_seen(conn.name, now)
-        capacity = int(message.get("capacity") or self.default_batch)
-        # Backoff gate: when every pending unit is sitting out a backoff,
-        # answer with the exact wait instead of attempting a grant -- the
-        # attempt could not succeed and would only churn the pending queues.
-        wait = self.manager.next_available_in(now)
-        if wait is not None and wait > 0.0:
-            await conn.send({"type": "no_work", "retry_in": max(0.05, min(wait, 5.0))})
-            return
-        lease = self.manager.grant(conn.name, max(1, capacity), now)
+        try:
+            capacity = max(1, int(message.get("capacity") or self.default_batch))
+        except (TypeError, ValueError) as exc:
+            raise protocol.ProtocolError(f"bad lease capacity: {exc}") from exc
+        # Parked requests are served first, so a newcomer only grants
+        # directly when no one is waiting.
+        lease = None if self._parked else self.manager.grant(conn.name, capacity, now)
         if lease is None:
-            retry_in = 0.5 if wait is None else max(0.05, min(wait, 5.0))
-            await conn.send({"type": "no_work", "retry_in": retry_in})
+            self._park(conn, capacity, now)
             return
+        await conn.send(self._grant_message(conn, lease))
+
+    def _grant_message(self, conn: Connection, lease: Lease) -> Dict[str, Any]:
         self.telemetry.bump("leases_granted")
         view = self.telemetry.workers.get(conn.name)
         if view is not None:
             view.leases_granted += 1
-        await conn.send(
-            {
-                "type": "lease_grant",
-                "lease_id": lease.lease_id,
-                "expires_in": self.manager.lease_ttl,
-                "units": [
-                    {"key": key, "task": self.manager.units[key].task_blob}
-                    for key in sorted(lease.keys, key=lambda k: self.manager.units[k].index)
-                ],
-            }
-        )
+        return {
+            "type": "lease_grant",
+            "lease_id": lease.lease_id,
+            "expires_in": self.manager.lease_ttl,
+            "units": [
+                {"key": key, "task": self.manager.units[key].task_blob}
+                for key in sorted(lease.keys, key=lambda k: self.manager.units[k].index)
+            ],
+        }
 
     async def _handle_unit_result(self, conn: Connection, message: Dict[str, Any]) -> None:
         now = time.monotonic()
@@ -418,6 +454,69 @@ class SchedulerServer:
             await self._apply_unit_events(events)
 
     # ------------------------------------------------------------------
+    # Parked lease requests
+    # ------------------------------------------------------------------
+    def _park(self, conn: Connection, capacity: int, now: float) -> None:
+        """Hold ``conn``'s lease request until work is grantable or the hold ends."""
+        wait = self.manager.next_available_in(now)
+        hold = IDLE_HOLD_S if wait is None else max(0.05, min(wait, MAX_HOLD_S))
+        timer = asyncio.get_running_loop().call_later(hold, self._hold_expired, conn)
+        self._parked[conn] = _ParkedRequest(capacity, timer)
+        self.telemetry.bump("lease_requests_parked")
+        self._wake_parked()
+
+    def _unpark(self, conn: Connection) -> None:
+        request = self._parked.pop(conn, None)
+        if request is not None:
+            request.hold.cancel()
+        if not self._parked and self._wake_timer is not None:
+            self._wake_timer.cancel()
+            self._wake_timer = None
+
+    def _wake_parked(self) -> None:
+        """Grant to parked requests, oldest first, while units are grantable.
+
+        If requests stay parked behind units that are backing off, re-arm
+        the wake timer for the moment the earliest backoff ends.
+        """
+        if not self._parked:
+            return
+        if self._wake_timer is not None:
+            self._wake_timer.cancel()
+            self._wake_timer = None
+        now = time.monotonic()
+        while self._parked:
+            conn, request = next(iter(self._parked.items()))
+            lease = self.manager.grant(conn.name, request.capacity, now)
+            if lease is None:
+                break
+            self._unpark(conn)
+            self.telemetry.bump("parked_grants")
+            self._reply(conn, self._grant_message(conn, lease))
+        if self._parked:
+            wait = self.manager.next_available_in(now)
+            if wait is not None and wait > 0.0:
+                self._wake_timer = asyncio.get_running_loop().call_later(
+                    wait, self._wake_parked
+                )
+
+    def _hold_expired(self, conn: Connection) -> None:
+        # A hold sized to a backoff ends as that backoff does: grant first,
+        # so the unit goes out now rather than after a no_work round trip.
+        self._wake_parked()
+        if conn not in self._parked:
+            return  # the wake-up just granted to it
+        self._unpark(conn)
+        self.telemetry.bump("no_work_replies")
+        self._reply(conn, {"type": "no_work", "retry_in": 0})
+
+    def _reply(self, conn: Connection, message: Dict[str, Any]) -> None:
+        """Send ``message`` from a synchronous callback, without awaiting it."""
+        task = asyncio.ensure_future(conn.send(message))
+        self._replies.add(task)
+        task.add_done_callback(self._replies.discard)
+
+    # ------------------------------------------------------------------
     # Shared transitions
     # ------------------------------------------------------------------
     def _checkpoint(self, unit: UnitRecord, outcome_blob: str) -> None:
@@ -451,6 +550,8 @@ class SchedulerServer:
                         "errors": unit.errors[-self.manager.max_attempts :],
                     }
                 )
+        # Requeued units wake parked workers, now or when their backoff ends.
+        self._wake_parked()
         for submission_id in dict.fromkeys(touched):
             await self._finish_if_done(submission_id)
 

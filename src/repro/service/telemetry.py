@@ -119,6 +119,10 @@ class SchedulerTelemetry:
             "leases_released": 0,
             "leases_failed": 0,
             "heartbeats": 0,
+            # Lease requests held for work, and how each hold ended.
+            "lease_requests_parked": 0,
+            "parked_grants": 0,
+            "no_work_replies": 0,
         }
     )
     workers: Dict[str, WorkerView] = field(default_factory=dict)

@@ -7,6 +7,14 @@ renews the lease over the shared (thread-safe) message stream; if the
 worker process dies the heartbeats stop with it and the scheduler requeues
 the lease's incomplete units.
 
+When no unit is grantable the scheduler holds the worker's
+``lease_request`` and answers it the moment work arrives, so an idle worker
+simply blocks on the reply.  A ``no_work`` reply ends a hold that ran out;
+the worker sleeps its ``retry_in`` (``0`` from the scheduler: ask again at
+once; 0.5 s when absent) and asks again.  ``stop_event`` and ``max_idle_s``
+are therefore checked at least once per hold: 0.5 s, or up to 5 s while
+every pending unit sits out a backoff.
+
 Unit execution reuses :func:`repro.experiments.executors.execute_task`
 verbatim -- the exact function behind ``SerialExecutor`` and
 ``ParallelExecutor`` -- which is what makes service results bit-identical
@@ -50,10 +58,11 @@ class ServiceWorker:
         Stop after executing this many units (``None`` = run forever).
     max_idle_s:
         Stop after this long without being granted work (``None`` = never);
-        lets smoke-test fleets drain and exit by themselves.
+        lets smoke-test fleets drain and exit by themselves.  Checked when
+        a ``no_work`` reply ends a hold.
     stop_event:
-        Optional :class:`threading.Event` checked between units, for
-        embedding a worker in a host process.
+        Optional :class:`threading.Event` checked between units and after
+        each ``no_work`` reply, for embedding a worker in a host process.
     """
 
     def __init__(
@@ -92,20 +101,23 @@ class ServiceWorker:
                 raise protocol.ProtocolError(f"bad handshake reply: {ack!r}")
             idle_since: Optional[float] = None
             while not self.stop_event.is_set():
+                asked_at = time.monotonic()
                 stream.send({"type": "lease_request", "capacity": self.batch_size})
                 message = stream.recv()
                 if message is None:
                     break  # scheduler went away; exit cleanly
                 kind = message.get("type")
                 if kind == "no_work":
-                    now = time.monotonic()
-                    idle_since = idle_since if idle_since is not None else now
+                    # The scheduler held the request as long as it wanted
+                    # to; idle time counts from the first unanswered ask.
+                    idle_since = idle_since if idle_since is not None else asked_at
                     if (
                         self.max_idle_s is not None
-                        and now - idle_since >= self.max_idle_s
+                        and time.monotonic() - idle_since >= self.max_idle_s
                     ):
                         break
-                    if self.stop_event.wait(float(message.get("retry_in") or 0.5)):
+                    retry_in = message.get("retry_in")
+                    if self.stop_event.wait(0.5 if retry_in is None else float(retry_in)):
                         break
                     continue
                 if kind != "lease_grant":

@@ -127,10 +127,11 @@ class TestServiceMatchesSerial:
 
     def test_selftest_many_workers_any_batch(self):
         """Worker count and batch size are invisible in the payloads."""
-        # Idle workers poll again only after the scheduler's 0.5 s no-work
-        # retry, so one worker that polls first can drain the whole sweep
-        # before the others wake unless the sweep outlasts that interval:
-        # 9 units x 150 ms = 1.35 s of work for a single worker.
+        # Workers that connect before the submission park their lease
+        # requests, and the scheduler grants to them oldest first as soon
+        # as the units arrive.  A worker that connects later still finds
+        # work: with batch size 1, 9 units x 150 ms = 1.35 s of sweep keeps
+        # the queue non-empty long after the first grants.
         config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.15, seed=11)
         serial = ExperimentSession(executor=SerialExecutor(), seed=2).run(
             "service-selftest", config
@@ -145,8 +146,8 @@ class TestServiceMatchesSerial:
                 status = probe.status()
         assert service.single() == serial.single()
         assert service.single().combined_digest == serial.single().combined_digest
-        # The sweep outlasts the idle retry, so it genuinely spread across
-        # the fleet: at least two of the three workers completed units.
+        # The sweep genuinely spread across the fleet: at least two of the
+        # three workers completed units.
         busy = [w for w in status["workers"].values() if w["units_completed"] >= 1]
         assert len(busy) >= 2
 
